@@ -184,31 +184,21 @@ def _registry_assign(z_final, converged, roots, match_radius):
     return idx
 
 
-def basin_scan(poly, window, resolution, roots=None,
-               max_iters: int = _DEFAULT_MAX_ITERS, tol: float = _DEFAULT_TOL,
-               match_radius: float = _DEFAULT_MATCH_RADIUS,
-               label: str = "") -> BasinGrid:
-    """Newton basins of a univariate polynomial (ascending coefficients)."""
-    coeffs = np.asarray(poly, dtype=complex)
-    if coeffs.ndim != 1 or len(coeffs) < 2:
-        raise ValueError("need a univariate polynomial of degree >= 1")
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
-    desc = coeffs[::-1]
-    ddesc = dcoeffs[::-1]
-    nx, ny = _resolution(resolution)
-    grid = BasinGrid(tuple(window), nx, ny, None, None,
-                     list(map(complex, roots or [])), max_iters, label)
+def _scan(grid: BasinGrid, newton_step, tol: float, match_radius: float) -> BasinGrid:
+    """Vectorized Newton from every pixel center; fills the grid in place.
+
+    `newton_step(za) -> dz` maps the still-active points to their Newton
+    corrections; a non-finite correction freezes the point unconverged.
+    """
+    max_iters = grid.max_iters
     z = grid.pixel_centers().copy()
-    iters = np.zeros((ny, nx), dtype=np.int32)
-    active = np.ones((ny, nx), dtype=bool)
+    iters = np.zeros((grid.ny, grid.nx), dtype=np.int32)
+    active = np.ones((grid.ny, grid.nx), dtype=bool)
     for it in range(max_iters):
         if not active.any():
             break
         za = z[active]
-        fz = np.polyval(desc, za)
-        dfz = np.polyval(ddesc, za)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dz = fz / dfz
+        dz = newton_step(za)
         bad = ~np.isfinite(dz)
         dz[bad] = 0.0
         za = za - dz
@@ -226,6 +216,28 @@ def basin_scan(poly, window, resolution, roots=None,
     grid.root_index = _registry_assign(z, converged, grid.roots, match_radius)
     grid.iterations = iters
     return grid
+
+
+def basin_scan(poly, window, resolution, roots=None,
+               max_iters: int = _DEFAULT_MAX_ITERS, tol: float = _DEFAULT_TOL,
+               match_radius: float = _DEFAULT_MATCH_RADIUS,
+               label: str = "") -> BasinGrid:
+    """Newton basins of a univariate polynomial (ascending coefficients)."""
+    coeffs = np.asarray(poly, dtype=complex)
+    if coeffs.ndim != 1 or len(coeffs) < 2:
+        raise ValueError("need a univariate polynomial of degree >= 1")
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    desc = coeffs[::-1]
+    ddesc = dcoeffs[::-1]
+    nx, ny = _resolution(resolution)
+    grid = BasinGrid(tuple(window), nx, ny, None, None,
+                     list(map(complex, roots or [])), max_iters, label)
+
+    def newton_step(za):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.polyval(desc, za) / np.polyval(ddesc, za)
+
+    return _scan(grid, newton_step, tol, match_radius)
 
 
 def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
@@ -249,35 +261,15 @@ def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
     grid = BasinGrid(tuple(window), nx, ny, None, None,
                      list(map(complex, roots or [])), max_iters,
                      label or "slice")
-    z = grid.pixel_centers().copy()
-    iters = np.zeros((ny, nx), dtype=np.int32)
-    active = np.ones((ny, nx), dtype=bool)
-    for it in range(max_iters):
-        if not active.any():
-            break
-        za = z[active]
+
+    def newton_step(za):
         x = base[None, :] + za[:, None] * direction[None, :]
         g = (system.evaluate(x) @ direction.conj()) / nrm2
         dg = ((system.jacobian(x) @ direction) @ direction.conj()) / nrm2
         with np.errstate(divide="ignore", invalid="ignore"):
-            dz = g / dg
-        bad = ~np.isfinite(dz)
-        dz[bad] = 0.0
-        za = za - dz
-        z[active] = za
-        done = (np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))) & ~bad
-        iters_active = iters[active]
-        iters_active[done] = it + 1
-        iters[active] = iters_active
-        mask = active.copy()
-        sub = active[mask]
-        sub[done] = False
-        active[mask] = sub
-    converged = ~active & np.isfinite(z)
-    iters[~converged] = max_iters
-    grid.root_index = _registry_assign(z, converged, grid.roots, match_radius)
-    grid.iterations = iters
-    return grid
+            return g / dg
+
+    return _scan(grid, newton_step, tol, match_radius)
 
 
 def render_ppm(grid: BasinGrid) -> bytes:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .excitations import AmplitudeSplit, ExcitationGraph, build_graph, excitation_matrix
+from .excitations import ExcitationGraph, build_graph, excitation_matrix
 from .model import ModelSpec, assemble_hamiltonian, enumerate_determinants
 
 _BCH_ORDER = 4          # nested commutators of a two-body H vanish past this
@@ -187,14 +187,7 @@ class PolynomialSystem:
     @classmethod
     def from_dict(cls, data: dict) -> "PolynomialSystem":
         names = list(data["variables"])
-        pos = {n: i for i, n in enumerate(names)}
-        eqs = []
-        for terms in data["equations"]:
-            poly = {}
-            for re_c, im_c, mono in terms:
-                key = tuple(sorted((pos[n], int(e)) for n, e in mono.items()))
-                poly[key] = poly.get(key, 0j) + complex(re_c, im_c)
-            eqs.append(Polynomial(poly))
+        eqs = [poly_from_json_terms(terms, names) for terms in data["equations"]]
         return cls(eqs, names, data.get("metadata"))
 
     @classmethod

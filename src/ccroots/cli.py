@@ -552,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write one CSV of accepted (lambda, x) samples "
                    "per path")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"parallel path-tracking threads (default: logical "
-                   f"cores, or ${_THREADS_ENV})")
+                   help=f"accepted for compatibility and validated (a "
+                   f"positive integer, like ${_THREADS_ENV}); tracking is serial")
     p.add_argument("-o", "--output", required=True, help="solutions JSON path")
     p.set_defaults(func=cmd_solve)
 
@@ -576,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed used when --homotopy-starts tracks the "
                    "truncated system (default 0)")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"threads for --homotopy-starts tracking (default: "
-                   f"logical cores, or ${_THREADS_ENV})")
+                   help=f"accepted for compatibility and validated (a "
+                   f"positive integer, like ${_THREADS_ENV}); tracking is serial")
     p.add_argument("-o", "--output", required=True,
                    help="output prefix: writes PREFIX.trajectory.csv and "
                    "PREFIX.bundle.json")

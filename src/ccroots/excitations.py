@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .model import (ManyBodyOperator, ModelSpec, SectorError, annihilate, create,
-                    det_from_occupied, enumerate_determinants, occupied_orbitals, so_spin)
+                    enumerate_determinants, occupied_orbitals, so_spin)
 
 
 @dataclass(frozen=True, order=True)

@@ -28,7 +28,7 @@ from .ccpoly import Workspace, generate_system
 from .excitations import AmplitudeSplit, ExcitationGraph, build_graph, full_rank, split
 from .model import ModelSpec, SectorError
 from .oracle import sigma_min
-from .tracker import TrackOptions, solve_all
+from .tracker import TrackOptions, _continue, newton, solve_all
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +36,7 @@ _ENDPOINT_TOL = 1e-8
 _SIGMA_DEGENERATE_TOL = 1e-8
 _OVERLAP_WARNING_TOL = 1e-8
 _START_RESIDUAL_TOL = 1e-8
+_LAMBDA0_MAX_ITERS = 60
 
 
 @dataclass
@@ -191,23 +192,6 @@ def kp_dlam(prob: KPProblem, state: KPState) -> np.ndarray:
     return _dlam(prob, state.t_full)
 
 
-def _newton(fun, jac, x0, tol=1e-12, max_iters=60):
-    x = np.asarray(x0, dtype=complex).copy()
-    for _ in range(max_iters):
-        r = fun(x)
-        if float(np.abs(r).max(initial=0.0)) <= tol * max(1.0, float(np.abs(x).max(initial=0.0))):
-            return x, True
-        try:
-            dx = np.linalg.solve(jac(x), -r)
-        except np.linalg.LinAlgError:
-            dx = np.linalg.lstsq(jac(x), -r, rcond=None)[0]
-        if not np.all(np.isfinite(dx)):
-            return x, False
-        x = x + dx
-    r = fun(x)
-    return x, float(np.abs(r).max(initial=0.0)) <= tol * max(1.0, float(np.abs(x).max(initial=0.0)))
-
-
 def _two_stage(prob: KPProblem, low_start: np.ndarray, high_start: np.ndarray,
                tol: float) -> np.ndarray | None:
     """Triangular lam = 0 solve: truncated equations, then auxiliary ones."""
@@ -223,7 +207,7 @@ def _two_stage(prob: KPProblem, low_start: np.ndarray, high_start: np.ndarray,
         t[low] = t0
         return _jacobian(prob, t, 0.0)[np.ix_(low, low)]
 
-    t0, ok0 = _newton(low_fun, low_jac, low_start, tol)
+    t0, ok0, _, _ = newton(low_fun, low_jac, low_start, tol, _LAMBDA0_MAX_ITERS)
     if not ok0:
         return None
     t = np.zeros(len(prob.graph), dtype=complex)
@@ -239,7 +223,7 @@ def _two_stage(prob: KPProblem, low_start: np.ndarray, high_start: np.ndarray,
             tt[high] = tp
             return _jacobian(prob, tt, 0.0)[np.ix_(high, high)]
 
-        tp, okp = _newton(high_fun, high_jac, high_start, tol)
+        tp, okp, _, _ = newton(high_fun, high_jac, high_start, tol, _LAMBDA0_MAX_ITERS)
         if not okp:
             return None
         t[high] = tp
@@ -311,9 +295,9 @@ def kp_track(prob: KPProblem, state0: KPState,
              options: TrackOptions | None = None) -> KPTrajectory:
     """Continue one lam = 0 state to lam = 1 and polish on the full residuals.
 
-    Euler predictor on the Davidenko system, Newton corrector at fixed lam,
-    adaptive step halving/growth; samples are recorded at every accepted
-    step, so lam is strictly increasing across them.
+    The predictor-corrector loop is the tracker's shared continuation core;
+    samples are recorded at every accepted step, so lam is strictly
+    increasing across them.
     """
     _check_state(prob, state0)
     r0 = float(np.abs(_residual(prob, state0.t_full, state0.lam)).max(initial=0.0))
@@ -322,54 +306,26 @@ def kp_track(prob: KPProblem, state0: KPState,
 
     options = options or TrackOptions()
     ws = prob.ws
-    sp = prob.amplitude_split
-    t = state0.t_full
-    lam = float(state0.lam)
-    traj = KPTrajectory(samples=[(lam, t[list(sp.low)].copy(), t[list(sp.high)].copy())])
+    low, high = list(prob.low), list(prob.high)
+    t0 = state0.t_full
+    traj = KPTrajectory(samples=[(float(state0.lam), t0[low].copy(), t0[high].copy())])
 
-    step = options.step_init
-    successes = 0
-    while lam < 1.0:
-        traj.steps += 1
-        if traj.steps > options.max_steps:
-            return traj
-        lam_next = min(lam + step, 1.0)
-        ok = False
-        try:
-            dt = np.linalg.solve(_jacobian(prob, t, lam), -_dlam(prob, t))
-            tc = t + dt * (lam_next - lam)
-            for _ in range(options.corrector_max_iters):
-                delta = np.linalg.solve(_jacobian(prob, tc, lam_next),
-                                        -_residual(prob, tc, lam_next))
-                tc = tc + delta
-                if float(np.abs(delta).max(initial=0.0)) <= options.corrector_tol * max(
-                        1.0, float(np.abs(tc).max(initial=0.0))):
-                    ok = True
-                    break
-        except np.linalg.LinAlgError:
-            ok = False
-        if ok and np.all(np.isfinite(tc)):
-            t = tc
-            lam = lam_next
-            traj.samples.append((lam, t[list(sp.low)].copy(), t[list(sp.high)].copy()))
-            log.debug("lam=%.6f displacement from start %.3e", lam,
-                      float(np.abs(t - state0.t_full).max(initial=0.0)))
-            successes += 1
-            if successes >= 3:
-                step = min(step * 1.5, options.step_max)
-                successes = 0
-        else:
-            step *= 0.5
-            successes = 0
-            if step < options.step_min:
-                return traj
-        if float(np.abs(t).max(initial=0.0)) > options.divergence_norm:
-            traj.endpoint_status = "diverged"
-            return traj
+    def on_accept(lam, t):
+        traj.samples.append((lam, t[low].copy(), t[high].copy()))
+        log.debug("lam=%.6f displacement from start %.3e", lam,
+                  float(np.abs(t - t0).max(initial=0.0)))
 
-    t, _ = _newton(ws.residuals, ws.jacobian, t, options.refine_tol,
-                   options.refine_max_iters)
-    res = float(np.abs(ws.residuals(t)).max(initial=0.0))
+    outcome, t, _, traj.steps = _continue(
+        lambda t, lam: (_jacobian(prob, t, lam), -_dlam(prob, t)),
+        lambda t, lam: (_residual(prob, t, lam), _jacobian(prob, t, lam)),
+        t0, float(state0.lam), 1.0, options, on_accept=on_accept)
+    if outcome == "diverged":
+        traj.endpoint_status = "diverged"
+    if outcome != "reached":
+        return traj
+
+    t, _, _, res = newton(ws.residuals, ws.jacobian, t, options.refine_tol,
+                          options.refine_max_iters)
     traj.endpoint = prob.state(t, 1.0)
     traj.endpoint_residual = res
     traj.endpoint_energy = ws.energy(t)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -278,11 +278,6 @@ class ManyBodyOperator:
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-
-def apply_operator(op: ManyBodyOperator, vec: np.ndarray) -> np.ndarray:
-    """Matrix-vector product in the operator's determinant basis."""
-    return op.apply(vec)
 
 
 def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None) -> ManyBodyOperator:

@@ -11,12 +11,11 @@ distinct solutions with multiplicities.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ccpoly import Polynomial, PolynomialSystem, poly_from_json_terms
+from .ccpoly import PolynomialSystem, poly_from_json_terms
 
 _MAX_PATHS = 1_000_000
 
@@ -45,7 +44,7 @@ class TrackOptions:
     dedupe_radius: float = 1e-6
     real_tol: float = 1e-8
     rng_seed: int = 0
-    workers: int = 1
+    workers: int = 1            # accepted for compatibility; tracking is serial
     max_steps: int = 20000
     record_trace: bool = False
 
@@ -139,22 +138,22 @@ def _start_jacobian(x, degrees):
     return np.diag(degrees * x ** (degrees - 1))
 
 
-def newton_refine(system: PolynomialSystem, x, tol: float = 1e-12,
-                  max_iters: int = 50):
-    """Polish x against the system; returns (x, converged, iterations, residual).
+def newton(fun, jac, x, tol: float, max_iters: int):
+    """Newton's method on fun(x) = 0; returns (x, converged, iterations, residual).
 
-    Performs zero iterations when x already satisfies the tolerance.  Near a
-    multiple root convergence is linear, hence the generous iteration budget.
+    Converged means max|fun(x)| <= tol * max(1, max|x|); zero iterations are
+    taken when x already satisfies it.  A singular Jacobian falls back to a
+    least-squares step; a non-finite step stops the iteration unconverged.
     """
     x = np.asarray(x, dtype=complex).copy()
     for it in range(max_iters + 1):
-        r = system.evaluate(x)
-        res = float(np.abs(r).max())
-        if res <= tol * max(1.0, float(np.abs(x).max())):
+        r = fun(x)
+        res = float(np.abs(r).max(initial=0.0))
+        if res <= tol * max(1.0, float(np.abs(x).max(initial=0.0))):
             return x, True, it, res
         if it == max_iters:
             break
-        J = system.jacobian(x)
+        J = jac(x)
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -162,105 +161,65 @@ def newton_refine(system: PolynomialSystem, x, tol: float = 1e-12,
         if not np.all(np.isfinite(delta)):
             break
         x = x + delta
-    r = system.evaluate(x)
-    return x, False, max_iters, float(np.abs(r).max())
+    return x, False, it, res
 
 
-def track_path(system: PolynomialSystem, degrees: np.ndarray, path_index: int,
-               gamma: complex, options: TrackOptions) -> PathResult:
-    """Track one start root from lam = 1 to 0 and polish the endpoint."""
-    x = start_root(degrees, path_index)
-    lam = 1.0
+def newton_refine(system: PolynomialSystem, x, tol: float = 1e-12,
+                  max_iters: int = 50):
+    """Polish x against the system; returns (x, converged, iterations, residual).
+
+    Near a multiple root convergence is linear, hence the generous budget.
+    """
+    return newton(system.evaluate, system.jacobian, x, tol, max_iters)
+
+
+def _continue(tangent, h_and_jac, x, s0: float, s1: float, options: TrackOptions,
+              clamp=None, on_accept=None, stop_within: float = 0.0):
+    """Predictor-corrector continuation of H(x, s) = 0 from s0 toward s1.
+
+    `tangent(x, s)` returns (J, -dH/ds) and `h_and_jac(x, s)` returns (H, J),
+    where J = dH/dx.  A step is an Euler predictor on the Davidenko equation
+    J dx/ds = -dH/ds followed by at most `corrector_max_iters` Newton
+    corrections at the new s; it is accepted once a correction falls below
+    `corrector_tol`.  The step grows by 1.5 (up to `step_max`) after three
+    accepted steps in a row and halves on a rejection.  `clamp(s, ds)` may
+    shorten a proposed step length, and `on_accept(s, x)` sees every accepted
+    point.  Returns (outcome, x, s, steps): outcome is "reached" once
+    |s1 - s| <= stop_within, "stalled" when the step falls below `step_min`,
+    "max_steps" or "diverged" (max|x| above `divergence_norm`); steps counts
+    the attempted steps.
+    """
+    down = s1 < s0
+    s = s0
     step = options.step_init
     successes = 0
-    n_steps = 0
-    trace = [(lam, x.copy())] if options.record_trace else None
-
-    def h_and_jac(xv, lv):
-        f = system.evaluate(xv)
-        g = _start_values(xv, degrees)
-        h = (1.0 - lv) * f + gamma * lv * g
-        J = (1.0 - lv) * system.jacobian(xv) + gamma * lv * _start_jacobian(xv, degrees)
-        return h, J, f, g
-
-    norm_at_endgame = None
-
-    def stalled(status_if_finite):
-        # paths escaping to infinity grow like a (possibly small) negative
-        # power of lam, so a hard norm threshold alone cannot classify them;
-        # sustained growth across the endgame's thousandfold lam reduction is
-        # the reliable sign
-        nx = float(np.abs(x).max())
-        if nx > options.at_infinity_norm:
-            return "diverged"
-        if norm_at_endgame is not None and nx > options.endgame_growth * max(
-                1.0, norm_at_endgame):
-            return "diverged"
-        return status_if_finite
-
-    def finish(from_stall=False):
-        nonlocal x
-        if stalled("endpoint") == "diverged":
-            return PathResult(path_index, "diverged", x, lam, n_steps, math.inf, trace)
-        x_before = x
-        x, converged, _, res = newton_refine(system, x, options.refine_tol,
-                                             options.refine_max_iters)
-        if not np.all(np.isfinite(x)) or float(np.abs(x).max()) > options.divergence_norm:
-            return PathResult(path_index, "diverged", x, lam, n_steps, math.inf, trace)
-        if from_stall and converged:
-            # a stalled path is only polished in place; a polish that travels
-            # a macroscopic distance has jumped into another path's basin and
-            # must not claim that root (it would inflate its multiplicity)
-            moved = float(np.abs(x - x_before).max())
-            if moved > 0.05 * max(1.0, float(np.abs(x_before).max())):
-                converged = False
-        status = "converged" if converged else "failed"
-        if trace is not None:
-            if trace[-1][0] == 0.0:
-                trace[-1] = (0.0, x.copy())
-            else:
-                trace.append((0.0, x.copy()))
-        return PathResult(path_index, status, x, lam, n_steps, res, trace)
-
-    while lam > options.endpoint_lambda:
-        n_steps += 1
-        if n_steps > options.max_steps:
-            return PathResult(path_index, stalled("failed"), x, lam, n_steps, math.inf,
-                              trace)
-        dlam = min(step, lam)
-        if lam <= options.endgame_start:
-            dlam = min(dlam, lam * (1.0 - options.endgame_factor))
-        elif lam - dlam < options.endgame_start:
-            # never leap over the endgame region: land on its boundary so the
-            # geometric shrink above takes over (a single stride to lam = 0
-            # degenerates into an unguided Newton run on the target system,
-            # which can hop between basins)
-            dlam = lam - options.endgame_start
-        lam_next = lam - dlam
+    steps = 0
+    while abs(s1 - s) > stop_within:
+        steps += 1
+        if steps > options.max_steps:
+            return "max_steps", x, s, steps
+        ds = min(step, s - s1) if down else step
+        if clamp is not None:
+            ds = clamp(s, ds)
+        s_next = s - ds if down else min(s + ds, s1)
         ok = False
         try:
-            _, J, f, g = h_and_jac(x, lam)
-            # Davidenko predictor: J dx/dlam = -(dH/dlam) = f - gamma*g
-            dxdlam = np.linalg.solve(J, f - gamma * g)
-            x_pred = x + dxdlam * (lam_next - lam)
-            xc = x_pred
+            J, rhs = tangent(x, s)
+            xc = x + np.linalg.solve(J, rhs) * (s_next - s)
             for _ in range(options.corrector_max_iters):
-                h, J, _, _ = h_and_jac(xc, lam_next)
+                h, J = h_and_jac(xc, s_next)
                 delta = np.linalg.solve(J, -h)
                 xc = xc + delta
-                if float(np.abs(delta).max()) <= options.corrector_tol * max(
-                        1.0, float(np.abs(xc).max())):
+                if float(np.abs(delta).max(initial=0.0)) <= options.corrector_tol * max(
+                        1.0, float(np.abs(xc).max(initial=0.0))):
                     ok = True
                     break
         except np.linalg.LinAlgError:
             ok = False
         if ok and np.all(np.isfinite(xc)):
-            x = xc
-            lam = lam_next
-            if trace is not None:
-                trace.append((lam, x.copy()))
-            if norm_at_endgame is None and lam <= options.endgame_start:
-                norm_at_endgame = float(np.abs(x).max())
+            x, s = xc, s_next
+            if on_accept is not None:
+                on_accept(s, x)
             successes += 1
             if successes >= 3:
                 step = min(step * 1.5, options.step_max)
@@ -269,17 +228,86 @@ def track_path(system: PolynomialSystem, degrees: np.ndarray, path_index: int,
             step *= 0.5
             successes = 0
             if step < options.step_min:
-                if lam <= options.endgame_start:
-                    # near-singular endings (multiple roots) stall the fixed
-                    # corrector budget; the endpoint polish decides whether
-                    # the path actually arrived
-                    return finish(from_stall=True)
-                return PathResult(path_index, stalled("failed"), x, lam, n_steps, math.inf,
-                                  trace)
-        if float(np.abs(x).max()) > options.divergence_norm:
-            return PathResult(path_index, "diverged", x, lam, n_steps, math.inf, trace)
+                return "stalled", x, s, steps
+        if float(np.abs(x).max(initial=0.0)) > options.divergence_norm:
+            return "diverged", x, s, steps
+    return "reached", x, s, steps
 
-    return finish()
+
+def track_path(system: PolynomialSystem, degrees: np.ndarray, path_index: int,
+               gamma: complex, options: TrackOptions) -> PathResult:
+    """Track one start root from lam = 1 to 0 and polish the endpoint."""
+    x = start_root(degrees, path_index)
+    trace = [(1.0, x.copy())] if options.record_trace else None
+    norm_at_endgame = None
+
+    def parts(xv, lv):
+        f = system.evaluate(xv)
+        g = _start_values(xv, degrees)
+        J = (1.0 - lv) * system.jacobian(xv) + gamma * lv * _start_jacobian(xv, degrees)
+        return f, g, J
+
+    def tangent(xv, lv):
+        f, g, J = parts(xv, lv)
+        # J dx/dlam = -(dH/dlam) = f - gamma*g
+        return J, f - gamma * g
+
+    def h_and_jac(xv, lv):
+        f, g, J = parts(xv, lv)
+        return (1.0 - lv) * f + gamma * lv * g, J
+
+    def clamp(lam, dlam):
+        if lam <= options.endgame_start:
+            return min(dlam, lam * (1.0 - options.endgame_factor))
+        if lam - dlam < options.endgame_start:
+            # never leap over the endgame region: land on its boundary so the
+            # geometric shrink above takes over (a single stride to lam = 0
+            # degenerates into an unguided Newton run on the target system,
+            # which can hop between basins)
+            return lam - options.endgame_start
+        return dlam
+
+    def on_accept(lam, xv):
+        nonlocal norm_at_endgame
+        if trace is not None:
+            trace.append((lam, xv.copy()))
+        if norm_at_endgame is None and lam <= options.endgame_start:
+            norm_at_endgame = float(np.abs(xv).max())
+
+    outcome, x, lam, n_steps = _continue(tangent, h_and_jac, x, 1.0, 0.0, options,
+                                         clamp, on_accept, options.endpoint_lambda)
+    # paths escaping to infinity grow like a (possibly small) negative power
+    # of lam, so a hard norm threshold alone cannot classify them; sustained
+    # growth across the endgame's thousandfold lam reduction is the reliable sign
+    nx = float(np.abs(x).max())
+    escaped = nx > options.at_infinity_norm or (
+        norm_at_endgame is not None and nx > options.endgame_growth * max(1.0, norm_at_endgame))
+    if outcome == "diverged" or escaped:
+        return PathResult(path_index, "diverged", x, lam, n_steps, math.inf, trace)
+    # near-singular endings (multiple roots) stall the fixed corrector budget
+    # inside the endgame; the endpoint polish decides whether the path arrived
+    from_stall = outcome == "stalled"
+    if outcome == "max_steps" or (from_stall and lam > options.endgame_start):
+        return PathResult(path_index, "failed", x, lam, n_steps, math.inf, trace)
+    x_before = x
+    x, converged, _, res = newton_refine(system, x, options.refine_tol,
+                                         options.refine_max_iters)
+    if not np.all(np.isfinite(x)) or float(np.abs(x).max()) > options.divergence_norm:
+        return PathResult(path_index, "diverged", x, lam, n_steps, math.inf, trace)
+    if from_stall and converged:
+        # a stalled path is only polished in place; a polish that travels
+        # a macroscopic distance has jumped into another path's basin and
+        # must not claim that root (it would inflate its multiplicity)
+        moved = float(np.abs(x - x_before).max())
+        if moved > 0.05 * max(1.0, float(np.abs(x_before).max())):
+            converged = False
+    status = "converged" if converged else "failed"
+    if trace is not None:
+        if trace[-1][0] == 0.0:
+            trace[-1] = (0.0, x.copy())
+        else:
+            trace.append((0.0, x.copy()))
+    return PathResult(path_index, status, x, lam, n_steps, res, trace)
 
 
 def _solution_sort_key(sol: Solution):
@@ -293,7 +321,8 @@ def solve_all(system: PolynomialSystem, options: TrackOptions | None = None) -> 
     path is accounted for: converged endpoints are deduplicated within
     `dedupe_radius` (max norm); non-representative members of a cluster are
     relabelled "clustered" and counted in the representative's multiplicity.
-    Results are deterministic for a fixed seed, independent of `workers`.
+    Paths are tracked serially, so results are deterministic for a fixed
+    seed; `workers` is accepted for compatibility and has no effect.
     """
     options = options or TrackOptions()
     degrees = np.array(system.degrees(), dtype=np.int64)
@@ -307,15 +336,7 @@ def solve_all(system: PolynomialSystem, options: TrackOptions | None = None) -> 
         raise PathBudgetError(
             f"{n_paths} start paths exceed the tracking budget {_MAX_PATHS}")
     gamma = gamma_from_seed(options.rng_seed)
-
-    def run(idx):
-        return track_path(system, degrees, idx, gamma, options)
-
-    if options.workers > 1:
-        with ThreadPoolExecutor(max_workers=options.workers) as pool:
-            paths = list(pool.map(run, range(n_paths)))
-    else:
-        paths = [run(i) for i in range(n_paths)]
+    paths = [track_path(system, degrees, i, gamma, options) for i in range(n_paths)]
 
     energy_poly = None
     if "energy" in system.metadata:

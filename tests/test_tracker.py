@@ -18,7 +18,9 @@ from ccroots.model import build_hubbard, build_pairing
 from ccroots.tracker import (
     PathBudgetError,
     TrackOptions,
+    _continue,
     gamma_from_seed,
+    newton,
     newton_refine,
     solve_all,
     start_root,
@@ -188,6 +190,62 @@ def test_multistart_newton_finds_nothing_extra():
         dists = [np.abs(point - s.x).max() for s in continuation]
         assert min(dists) < 1e-6
 
+
+
+def test_newton_singular_jacobian_takes_least_squares_step():
+    # x^2 - 2 from x = 0: the Jacobian 2x vanishes, the least-squares step is
+    # zero, and the budget runs out at the start point
+    x, ok, iters, res = newton(lambda x: x ** 2 - 2.0, lambda x: np.diag(2.0 * x),
+                               [0.0], 1e-12, 5)
+    assert not ok and iters == 5
+    assert x[0] == 0.0 and res == 2.0
+
+
+def test_newton_stops_on_non_finite_step():
+    # a subnormal Jacobian overflows the step to infinity
+    x, ok, iters, res = newton(lambda x: x ** 2 - 2.0, lambda x: np.array([[1e-310]]),
+                               [0.0], 1e-12, 5)
+    assert not ok and iters == 0
+    assert x[0] == 0.0 and res == 2.0
+
+
+def _sqrt_homotopy():
+    # H(x, s) = x^2 - (1 + s): J = 2x and -dH/ds = 1
+    def tangent(x, s):
+        return np.diag(2.0 * x), np.ones(1, dtype=complex)
+
+    def h_and_jac(x, s):
+        return x ** 2 - (1.0 + s), np.diag(2.0 * x)
+
+    return tangent, h_and_jac
+
+
+@pytest.mark.parametrize("s0, s1, x0, want", [(0.0, 1.0, 1.0, SQRT2),
+                                              (1.0, 0.0, SQRT2, 1.0)])
+def test_continue_both_directions(s0, s1, x0, want):
+    tangent, h_and_jac = _sqrt_homotopy()
+    accepted = []
+    outcome, x, s, steps = _continue(
+        tangent, h_and_jac, np.array([x0], dtype=complex), s0, s1, TrackOptions(),
+        on_accept=lambda s, x: accepted.append(s))
+    assert outcome == "reached" and s == s1
+    assert x[0] == pytest.approx(want, abs=1e-10)
+    sign = 1.0 if s1 > s0 else -1.0
+    assert all(sign * (b - a) > 0 for a, b in zip([s0] + accepted, accepted))
+    assert accepted[-1] == s1 and steps >= len(accepted)
+
+
+def test_continue_step_budget_and_clamp():
+    tangent, h_and_jac = _sqrt_homotopy()
+    x0 = np.array([1.0], dtype=complex)
+    outcome, _, s, steps = _continue(tangent, h_and_jac, x0, 0.0, 1.0,
+                                     TrackOptions(max_steps=3))
+    assert outcome == "max_steps" and steps == 4 and 0.0 < s < 1.0
+    accepted = []
+    outcome, _, _, _ = _continue(tangent, h_and_jac, x0, 0.0, 1.0, TrackOptions(),
+                                 clamp=lambda s, ds: min(ds, 0.01),
+                                 on_accept=lambda s, x: accepted.append(s))
+    assert outcome == "reached" and len(accepted) >= 100
 
 # --- determinism ------------------------------------------------------------------
 

@@ -295,7 +295,7 @@ def cmd_solve(args, argv) -> int:
                 f"re(x{k}),im(x{k})" for k in range(system.n_vars))]
             for lam, x in p.trace or []:
                 rows.append(",".join([repr(float(lam))] + [
-                    f"{repr(v.real)},{repr(v.imag)}" for v in x]))
+                    f"{float(v.real)!r},{float(v.imag)!r}" for v in x]))
             path = os.path.join(args.trace_dir, f"path_{p.index:0{width}d}.csv")
             _write_text(path, "\n".join(rows) + "\n")
             outputs.append(path)
@@ -331,8 +331,11 @@ def cmd_kp(args, argv) -> int:
         is_index = False
 
     if is_index:
-        states = solve_lambda0(prob, use_homotopy_starts=args.homotopy_starts,
-                               track_options=options)
+        try:
+            states = solve_lambda0(prob, use_homotopy_starts=args.homotopy_starts,
+                                   track_options=options)
+        except PathBudgetError as exc:
+            raise CliError(str(exc), EXIT_CAPABILITY) from exc
         if not states:
             print("no lam=0 state found", file=sys.stderr)
             return EXIT_NUMERICAL

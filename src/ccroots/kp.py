@@ -12,6 +12,15 @@ the full CC residuals at lam = 1: operators of rank above the bra's cannot
 de-excite it, so <Phi_mu| e^{-Tp} = <Phi_mu| exactly for every low-rank mu,
 which makes the lam = 1 low rows equal the full residuals.  Tracking lam
 upward carries a truncated-model root to the full-model root it shadows.
+
+The same fact and e^{T0} e^{Tp} = e^{T} (excitation operators commute) make
+the map a straight line in lam between two calls of the one CC residual map
+r = Workspace.residuals, at t and at t0 (t with tp zeroed):
+
+    low rows:   (1 - lam) r(t0) + lam r(t)        high rows:  r(t)
+
+Its Jacobian is lam J(t) plus (1 - lam) J(t0) in the [low, low] block, and its
+lam-derivative is r(t) - r(t0) on the low rows and zero on the high rows.
 """
 
 from __future__ import annotations
@@ -118,59 +127,27 @@ def _check_state(prob: KPProblem, state: KPState) -> None:
         raise SectorError("state split does not match the problem split")
 
 
-def _t_ops(prob: KPProblem, t: np.ndarray):
-    t = np.asarray(t, dtype=complex)
-    t0 = t.copy()
-    t0[list(prob.high)] = 0.0
-    tp = t - t0
-    return prob.ws.t_operator(t0), prob.ws.t_operator(tp)
-
-
 def _residual(prob: KPProblem, t: np.ndarray, lam: float) -> np.ndarray:
-    ws = prob.ws
-    T0, Tp = _t_ops(prob, t)
-    v = ws.e0 + lam * (ws.expm_apply(Tp, ws.e0) - ws.e0)
-    low_vec = ws.expm_apply(-T0, ws.H @ ws.expm_apply(T0, v))
-    out = np.empty(len(prob.graph), dtype=complex)
-    out[list(prob.low)] = low_vec[ws.target_idx[list(prob.low)]]
-    if prob.high:
-        full = ws.residual_vector(t)
-        out[list(prob.high)] = full[ws.target_idx[list(prob.high)]]
+    low = list(prob.low)
+    r0 = prob.ws.residuals(prob.state(t, lam).low_padded())
+    out = prob.ws.residuals(t)
+    out[low] = (1.0 - lam) * r0[low] + lam * out[low]
     return out
 
 
 def _jacobian(prob: KPProblem, t: np.ndarray, lam: float) -> np.ndarray:
     ws = prob.ws
-    K = len(prob.graph)
-    low, high = list(prob.low), list(prob.high)
-    T0, Tp = _t_ops(prob, t)
-    J = np.zeros((K, K), dtype=complex)
-
-    r = ws.expm_apply(Tp, ws.e0)
-    v = ws.e0 + lam * (r - ws.e0)
-    p = ws.expm_apply(T0, v)
-    q = ws.expm_apply(-T0, ws.H @ p)
-    low_targets = ws.target_idx[low]
-    low_set = set(low)
-    for nu in range(K):
-        Xn = ws.X[nu]
-        if nu in low_set:
-            col = ws.expm_apply(-T0, ws.H @ (Xn @ p)) - Xn @ q
-        else:
-            col = lam * ws.expm_apply(-T0, ws.H @ ws.expm_apply(T0, Xn @ r))
-        J[low, nu] = col[low_targets]
-    if high:
-        J[high, :] = ws.jacobian(t)[high, :]
+    low = list(prob.low)
+    block = np.ix_(low, low)
+    J = ws.jacobian(t)
+    J[low, :] *= lam
+    J[block] += (1.0 - lam) * ws.jacobian(prob.state(t, lam).low_padded())[block]
     return J
 
 
 def _dlam(prob: KPProblem, t: np.ndarray) -> np.ndarray:
-    ws = prob.ws
-    T0, Tp = _t_ops(prob, t)
-    w = ws.expm_apply(Tp, ws.e0) - ws.e0
-    vec = ws.expm_apply(-T0, ws.H @ ws.expm_apply(T0, w))
-    out = np.zeros(len(prob.graph), dtype=complex)
-    out[list(prob.low)] = vec[ws.target_idx[list(prob.low)]]
+    out = prob.ws.residuals(t) - prob.ws.residuals(prob.state(t, 0.0).low_padded())
+    out[list(prob.high)] = 0.0
     return out
 
 
@@ -192,41 +169,27 @@ def kp_dlam(prob: KPProblem, state: KPState) -> np.ndarray:
     return _dlam(prob, state.t_full)
 
 
+def _block_newton(ws: Workspace, t: np.ndarray, idx: list, start: np.ndarray,
+                  tol: float) -> np.ndarray | None:
+    """Newton on the residual rows idx in the amplitudes idx, the rest of t fixed."""
+    def at(x):
+        tt = t.copy()
+        tt[idx] = x
+        return tt
+
+    x, ok, _, _ = newton(lambda x: ws.residuals(at(x))[idx],
+                         lambda x: ws.jacobian(at(x))[np.ix_(idx, idx)],
+                         start, tol, _LAMBDA0_MAX_ITERS)
+    return at(x) if ok else None
+
+
 def _two_stage(prob: KPProblem, low_start: np.ndarray, high_start: np.ndarray,
                tol: float) -> np.ndarray | None:
     """Triangular lam = 0 solve: truncated equations, then auxiliary ones."""
-    low, high = list(prob.low), list(prob.high)
-
-    def low_fun(t0):
-        t = np.zeros(len(prob.graph), dtype=complex)
-        t[low] = t0
-        return _residual(prob, t, 0.0)[low]
-
-    def low_jac(t0):
-        t = np.zeros(len(prob.graph), dtype=complex)
-        t[low] = t0
-        return _jacobian(prob, t, 0.0)[np.ix_(low, low)]
-
-    t0, ok0, _, _ = newton(low_fun, low_jac, low_start, tol, _LAMBDA0_MAX_ITERS)
-    if not ok0:
-        return None
     t = np.zeros(len(prob.graph), dtype=complex)
-    t[low] = t0
-    if high:
-        def high_fun(tp):
-            tt = t.copy()
-            tt[high] = tp
-            return _residual(prob, tt, 0.0)[high]
-
-        def high_jac(tp):
-            tt = t.copy()
-            tt[high] = tp
-            return _jacobian(prob, tt, 0.0)[np.ix_(high, high)]
-
-        tp, okp, _, _ = newton(high_fun, high_jac, high_start, tol, _LAMBDA0_MAX_ITERS)
-        if not okp:
-            return None
-        t[high] = tp
+    t = _block_newton(prob.ws, t, list(prob.low), low_start, tol)
+    if t is not None and prob.high:
+        t = _block_newton(prob.ws, t, list(prob.high), high_start, tol)
     return t
 
 
@@ -434,9 +397,9 @@ def trajectory_csv(prob: KPProblem, traj: KPTrajectory) -> str:
         res = float(np.abs(_residual(prob, t, lam)).max(initial=0.0))
         e_low = complex(prob.ws.energy(state.low_padded()))
         e_full = complex(prob.ws.energy(t))
-        row = [repr(lam)]
+        row = [repr(float(lam))]
         for k in range(len(names)):
-            row += [repr(t[k].real), repr(t[k].imag)]
+            row += [repr(float(t[k].real)), repr(float(t[k].imag))]
         row += [repr(res), repr(e_low), repr(e_full)]
         writer.writerow(row)
     return buf.getvalue()

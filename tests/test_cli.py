@@ -309,6 +309,24 @@ def test_solve_trace_dir_writes_one_csv_per_path(work, tmp_path):
     assert len(manifest["outputs"]) == 9  # solutions file + 8 traces
 
 
+def test_trace_and_trajectory_csv_cells_are_plain_numbers(work, kp_out, tmp_path):
+    # numeric columns must parse with float(), the energy columns with
+    # complex(); a numpy scalar repr such as "np.float64(0.1)" parses with
+    # neither
+    r = run("solve", "--system", work / "dimer_sys.json", "--workers", "1",
+            "--trace-dir", tmp_path / "traces", "-o", tmp_path / "sol.json")
+    assert r.returncode == 0, r.stderr
+    paths = [kp_out / "base.trajectory.csv"] + sorted((tmp_path / "traces").iterdir())
+    for path in paths:
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            for name, cell in zip(header, row):
+                (complex if name.startswith("energy_") else float)(cell)
+
+
 def test_solve_no_converged_path_exits_numerical(tmp_path):
     # z^2 + 1e10: both roots far outside the tracker's divergence radius
     system = PolynomialSystem([Polynomial({((0, 2),): 1.0, (): 1e10})], ["z"])
@@ -454,6 +472,16 @@ def test_kp_homotopy_starts_reach_every_state(work, tmp_path):
         assert r.returncode == 0, r.stderr
         report = read_json(tmp_path / f"d{index}h.bundle.json")
         assert abs(complex(*report["endpoint"]["energy"]) - want) < 1e-8
+
+
+def test_kp_homotopy_starts_path_budget_exit_capability(work, tmp_path):
+    # the rank-2 pairing(4) system has about 2.5e14 total-degree start paths
+    r = run("kp", "--model", work / "pairing42.json", "--rho", "2",
+            "--homotopy-starts", "--workers", "1", "-o", tmp_path / "b")
+    assert r.returncode == 3
+    assert r.stderr.startswith("error:")
+    assert "budget" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 # --- fractal --------------------------------------------------------------------

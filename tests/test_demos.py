@@ -1,0 +1,32 @@
+"""The demo scripts run to completion from a clean working directory.
+
+Each demo is a subprocess in a fresh temporary cwd, with the package that
+these tests import put on its PYTHONPATH.  ``newton_fractal.py`` is left out:
+it takes about ten seconds and only exercises the basin scans, which
+``test_basins`` covers directly.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ccroots
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+PACKAGE_ROOT = Path(ccroots.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["truncation_homotopy_pairing.py",
+                                    "all_roots_dimer.py",
+                                    "quadratic_lift_bounds.py"])
+def test_demo_exits_cleanly(script, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r = subprocess.run([sys.executable, str(DEMOS / script)], cwd=tmp_path,
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip()

@@ -5,6 +5,8 @@ Key structural facts checked here:
     collapses the truncated rows onto the exact ones),
   * at lam = 0 the low rows depend on the low amplitudes only, making the
     system triangular (truncated solve, then auxiliary solve),
+  * at every lam the coupled map equals its defining operator expression,
+    multiplied out on the determinant basis,
   * the energy functional only reads amplitudes of rank <= 2, so both energy
     columns of a trajectory agree whenever rho >= 2.
 
@@ -135,6 +137,39 @@ def test_high_rows_are_lam_independent():
     np.testing.assert_allclose(r_at[0.5][26:], r_at[1.0][26:], atol=1e-13)
     d = kp_dlam(prob, prob.state(t, 0.5))
     np.testing.assert_array_equal(d[26:], 0)
+
+
+def coupled_map_by_definition(prob, t, lam):
+    """The module docstring's map, multiplied out on the determinant basis:
+    low rows <Phi_mu| e^{-T0} H e^{T0} [1 + lam (e^{Tp} - 1)] |ref>, high rows
+    <Phi_mu| e^{-T} H e^{T} |ref>."""
+    ws = prob.ws
+    low, high = list(prob.low), list(prob.high)
+    t0 = t.copy()
+    t0[high] = 0.0
+    T0, Tp, T = ws.t_operator(t0), ws.t_operator(t - t0), ws.t_operator(t)
+    v = ws.e0 + lam * (ws.expm_apply(Tp, ws.e0) - ws.e0)
+    low_vec = ws.expm_apply(-T0, ws.H @ ws.expm_apply(T0, v))
+    out = ws.expm_apply(-T, ws.H @ ws.expm_apply(T, ws.e0))[ws.target_idx]
+    out[low] = low_vec[ws.target_idx[low]]
+    return out
+
+
+def test_coupled_map_matches_its_definition():
+    for prob in (pairing_problem(2), pairing_problem(3), dimer_problem()):
+        rng = np.random.default_rng(17)
+        for _ in range(2):
+            t = random_state(prob, rng, 0.0).t_full
+            by_lam = {lam: coupled_map_by_definition(prob, t, lam)
+                      for lam in (0.0, 0.37, 1.0)}
+            scale = max(1.0, max(np.abs(r).max() for r in by_lam.values()))
+            for lam, want in by_lam.items():
+                np.testing.assert_allclose(kp_residual(prob, prob.state(t, lam)),
+                                           want, rtol=0, atol=1e-12 * scale)
+            # the definition is affine in lam, so its slope is the end difference
+            np.testing.assert_allclose(kp_dlam(prob, prob.state(t, 0.37)),
+                                       by_lam[1.0] - by_lam[0.0],
+                                       rtol=0, atol=1e-12 * scale)
 
 
 def test_jacobian_and_dlam_against_central_differences():

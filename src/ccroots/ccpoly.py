@@ -113,6 +113,28 @@ class Polynomial:
         return Polynomial(out)
 
 
+def _monomial_table(polys: list, n_vars: int) -> tuple:
+    """The exponent rows of every monomial of `polys` in graded-lex order, and
+    a (monomials, len(polys)) coefficient matrix, one column per polynomial."""
+    keyed = sorted({(mono_sort_key(m, n_vars), m) for p in polys for m in p.terms})
+    row = {m: i for i, (_, m) in enumerate(keyed)}
+    exps = np.array([key[1] for key, _ in keyed], dtype=np.intp).reshape(len(keyed), n_vars)
+    coeffs = np.zeros((len(keyed), len(polys)), dtype=complex)
+    for j, p in enumerate(polys):
+        for mono, c in p.terms.items():
+            coeffs[row[mono], j] = c
+    return exps, coeffs
+
+
+def _evaluate_table(table: tuple, x) -> np.ndarray:
+    """All polynomials of a monomial table at x (..., n_vars): (..., n_polys)."""
+    exps, coeffs = table
+    x = np.asarray(x, dtype=complex)
+    powers = x[..., None, :] ** np.arange(exps.max(initial=0) + 1)[:, None]
+    monos = powers[..., exps, np.arange(exps.shape[1])].prod(axis=-1)
+    return monos @ coeffs
+
+
 class PolynomialSystem:
     """Square system of polynomials with named variables and metadata."""
 
@@ -120,7 +142,7 @@ class PolynomialSystem:
         self.equations = list(equations)
         self.var_names = list(var_names)
         self.metadata = dict(metadata or {})
-        self._compiled = None
+        self._compiled = self._jac_compiled = None   # tables of F and J, built on first use
 
     @property
     def n_vars(self) -> int:
@@ -133,52 +155,26 @@ class PolynomialSystem:
     def degrees(self) -> list:
         return [eq.degree() for eq in self.equations]
 
-    def _compile(self):
-        if self._compiled is None:
-            eqs = []
-            nv = self.n_vars
-            for eq in self.equations:
-                terms = eq.sorted_terms(nv)
-                nt = max(len(terms), 1)
-                coeffs = np.zeros(nt, dtype=complex)
-                exps = np.zeros((nt, nv), dtype=np.int64)
-                for i, (mono, c) in enumerate(terms):
-                    coeffs[i] = c
-                    for v, e in mono:
-                        exps[i, v] = e
-                dcoeffs = coeffs[:, None] * exps                      # (nt, nv)
-                dexps = np.maximum(exps[:, None, :] - np.eye(nv, dtype=np.int64)[None], 0)
-                eqs.append((coeffs, exps, dcoeffs, dexps))
-            self._compiled = eqs
-        return self._compiled
-
     def evaluate(self, x) -> np.ndarray:
         """Evaluate at x of shape (n_vars,) or batched (..., n_vars)."""
-        x = np.asarray(x, dtype=complex)
-        out = np.empty(x.shape[:-1] + (self.n_eqs,), dtype=complex)
-        for j, (coeffs, exps, _, _) in enumerate(self._compile()):
-            powers = x[..., None, :] ** exps                          # (..., nt, nv)
-            out[..., j] = powers.prod(axis=-1) @ coeffs
-        return out
+        if self._compiled is None:
+            self._compiled = _monomial_table(self.equations, self.n_vars)
+        return _evaluate_table(self._compiled, x)
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian at x; batched like evaluate, result (..., n_eqs, n_vars)."""
-        x = np.asarray(x, dtype=complex)
-        out = np.empty(x.shape[:-1] + (self.n_eqs, self.n_vars), dtype=complex)
-        for j, (_, _, dcoeffs, dexps) in enumerate(self._compile()):
-            powers = x[..., None, None, :] ** dexps                   # (..., nt, nv, nv)
-            out[..., j, :] = np.einsum("...tv,tv->...v", powers.prod(axis=-1), dcoeffs)
-        return out
+        if self._jac_compiled is None:
+            self._jac_compiled = _monomial_table(
+                [eq.diff(v) for eq in self.equations for v in range(self.n_vars)],
+                self.n_vars)
+        out = _evaluate_table(self._jac_compiled, x)
+        return out.reshape(out.shape[:-1] + (self.n_eqs, self.n_vars))
 
     # serialization: term order is graded lexicographic in the exponent vector
     def to_dict(self) -> dict:
-        eqs = []
-        for eq in self.equations:
-            terms = []
-            for mono, c in eq.sorted_terms(self.n_vars):
-                terms.append([c.real, c.imag, {self.var_names[v]: e for v, e in mono}])
-            eqs.append(terms)
-        return {"variables": list(self.var_names), "equations": eqs,
+        return {"variables": list(self.var_names),
+                "equations": [_poly_terms_for_json(eq, self.var_names)
+                              for eq in self.equations],
                 "metadata": self.metadata}
 
     def to_json(self, **kwargs) -> str:
@@ -267,10 +263,11 @@ class Workspace:
         T = self.t_operator(t)
         u = self.expm_apply(T, self.e0)
         hu = self.H @ u
+        minus_T = -T
         cols = []
         for Xk in self.X:
             y = self.H @ (Xk @ u) - Xk @ hu
-            cols.append(self.expm_apply(-T, y)[self.target_idx])
+            cols.append(self.expm_apply(minus_T, y)[self.target_idx])
         return np.array(cols).T
 
     def ad_power_applied(self, t, order: int) -> np.ndarray:

@@ -406,6 +406,8 @@ def cmd_fractal(args, argv) -> int:
     window = tuple(_parse_floats(args.window, 4, "--window"))
     if args.res < 1:
         raise CliError(f"--res must be >= 1, got {args.res}")
+    if args.max_iters < 1:
+        raise CliError(f"--max-iters must be >= 1, got {args.max_iters}")
     inputs = []
     try:
         if args.poly is not None:

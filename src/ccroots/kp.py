@@ -69,6 +69,8 @@ class KPState:
     @classmethod
     def from_full(cls, sp: AmplitudeSplit, t: np.ndarray, lam: float) -> "KPState":
         t = np.asarray(t, dtype=complex)
+        if t.shape != (len(sp.graph),):
+            raise SectorError(f"expected {len(sp.graph)} amplitudes, got {t.size}")
         return cls(sp, t[list(sp.low)], t[list(sp.high)], lam)
 
     @property

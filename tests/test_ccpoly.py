@@ -68,6 +68,43 @@ def test_system_degrees_and_names():
     assert s.var_names == ["x", "y"]
 
 
+def random_sparse_polynomial(rng, n_vars, n_terms, max_exp=4):
+    terms = {((0, max_exp),): 1.0 - 0.5j}
+    for _ in range(n_terms):
+        exps = rng.integers(0, max_exp + 1, n_vars) * (rng.random(n_vars) < 0.4)
+        mono = tuple((v, int(e)) for v, e in enumerate(exps) if e)
+        terms[mono] = complex(rng.standard_normal(), rng.standard_normal())
+    return Polynomial(terms)
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+def test_compiled_evaluator_matches_per_term_reference(batch):
+    # the compiled F and J against Polynomial.evaluate and Polynomial.diff,
+    # with one all-zero and one constant equation among random sparse ones
+    rng = np.random.default_rng(7)
+    n_vars = 5
+    eqs = [random_sparse_polynomial(rng, n_vars, 8) for _ in range(3)]
+    eqs += [Polynomial(), Polynomial({(): 2.5 - 1.0j})]
+    system = PolynomialSystem(eqs, [f"x{v}" for v in range(n_vars)])
+    x = 0.8 * random_amplitudes(rng, int(np.prod(batch)) * n_vars).reshape(batch + (n_vars,))
+
+    f = system.evaluate(x)
+    jac = system.jacobian(x)
+    assert f.shape == batch + (len(eqs),)
+    assert jac.shape == batch + (len(eqs), n_vars)
+    f_ref = np.empty_like(f)
+    jac_ref = np.empty_like(jac)
+    for idx in np.ndindex(*batch):
+        for j, eq in enumerate(eqs):
+            f_ref[idx + (j,)] = eq.evaluate(x[idx])
+            for v in range(n_vars):
+                jac_ref[idx + (j, v)] = eq.diff(v).evaluate(x[idx])
+    np.testing.assert_allclose(f, f_ref, rtol=1e-12, atol=1e-12 * np.abs(f_ref).max())
+    np.testing.assert_allclose(jac, jac_ref, rtol=1e-12, atol=1e-12 * np.abs(jac_ref).max())
+    assert not f[..., 3].any() and not jac[..., 3:, :].any()
+    assert np.all(f[..., 4] == 2.5 - 1.0j)
+
+
 # --- dimer equations by hand -------------------------------------------------
 
 def test_dimer_equations_match_hand_derivation():

@@ -456,6 +456,18 @@ def test_kp_state_file_malformed(work, tmp_path):
     assert "malformed" in r.stderr
 
 
+@pytest.mark.parametrize("n_amplitudes", [1, 38])
+def test_kp_state_file_wrong_length_rejected(work, tmp_path, n_amplitudes):
+    # the full graph of pairing(4,1,0.33,2) has 35 amplitudes
+    (tmp_path / "state.json").write_text(json.dumps({"t": [[0.0, 0.0]] * n_amplitudes}))
+    r = run("kp", "--model", work / "pairing42.json", "--rho", "2",
+            "--state", tmp_path / "state.json", "--workers", "1", "-o", tmp_path / "b")
+    assert r.returncode == 2
+    assert f"malformed: expected 35 amplitudes, got {n_amplitudes}" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "b.bundle.json").exists()
+
+
 def test_kp_homotopy_starts_reach_every_state(work, tmp_path):
     # Newton from zero amplitudes lands on the dimer's E = 4 root; the
     # homotopy start list, sorted by energy, exposes the other two as well.
@@ -528,6 +540,15 @@ def test_fractal_system_requires_slice(work, tmp_path):
 def test_fractal_res_must_be_positive(tmp_path):
     r = run("fractal", "--poly", "z^2-1", "--res", "0", "-o", tmp_path / "a.ppm")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("max_iters", ["0", "-3"])
+def test_fractal_max_iters_must_be_positive(tmp_path, max_iters):
+    r = run("fractal", "--poly", "z^2-1", "--res", "8", "--max-iters", max_iters,
+            "-o", tmp_path / "a.ppm")
+    assert r.returncode == 2
+    assert "--max-iters" in r.stderr
+    assert not (tmp_path / "a.ppm").exists()
 
 
 def test_fractal_window_needs_four_values(tmp_path):

@@ -141,6 +141,11 @@ class BasinGrid:
     max_iters: int
     label: str = ""
 
+    def __post_init__(self):
+        re_min, re_max, im_min, im_max = self.window
+        if not (np.isfinite(self.window).all() and re_min < re_max and im_min < im_max):
+            raise ValueError(f"window needs finite, increasing bounds, got {self.window}")
+
     def pixel_centers(self) -> np.ndarray:
         re_min, re_max, im_min, im_max = self.window
         xs = re_min + (np.arange(self.nx) + 0.5) * (re_max - re_min) / self.nx
@@ -157,11 +162,11 @@ class BasinGrid:
         return row, col
 
 
-def _resolution(resolution) -> tuple:
-    if isinstance(resolution, int):
-        return resolution, resolution
-    nx, ny = resolution
-    return int(nx), int(ny)
+def _grid(window, resolution, roots, max_iters, label) -> BasinGrid:
+    """An empty grid; `resolution` is pixels per side or (nx, ny)."""
+    nx, ny = (resolution,) * 2 if isinstance(resolution, int) else map(int, resolution)
+    return BasinGrid(tuple(window), nx, ny, None, None,
+                     list(map(complex, roots or [])), max_iters, label)
 
 
 def _registry_assign(z_final, converged, roots, match_radius):
@@ -224,14 +229,12 @@ def basin_scan(poly, window, resolution, roots=None,
                label: str = "") -> BasinGrid:
     """Newton basins of a univariate polynomial (ascending coefficients)."""
     coeffs = np.asarray(poly, dtype=complex)
-    if coeffs.ndim != 1 or len(coeffs) < 2:
+    if coeffs.ndim != 1 or len(coeffs := np.trim_zeros(coeffs, "b")) < 2:
         raise ValueError("need a univariate polynomial of degree >= 1")
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     desc = coeffs[::-1]
     ddesc = dcoeffs[::-1]
-    nx, ny = _resolution(resolution)
-    grid = BasinGrid(tuple(window), nx, ny, None, None,
-                     list(map(complex, roots or [])), max_iters, label)
+    grid = _grid(window, resolution, roots, max_iters, label)
 
     def newton_step(za):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -257,10 +260,7 @@ def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
     nrm2 = np.vdot(direction, direction)
     if abs(nrm2) == 0:
         raise ValueError("direction must be nonzero")
-    nx, ny = _resolution(resolution)
-    grid = BasinGrid(tuple(window), nx, ny, None, None,
-                     list(map(complex, roots or [])), max_iters,
-                     label or "slice")
+    grid = _grid(window, resolution, roots, max_iters, label or "slice")
 
     def newton_step(za):
         x = base[None, :] + za[:, None] * direction[None, :]

@@ -194,7 +194,11 @@ class PolynomialSystem:
 # --- evaluation workspace ----------------------------------------------------
 
 class Workspace:
-    """Matrices of one (model, graph) pair: basis, H, excitation operators."""
+    """One (model, graph) pair: basis, H and the signed excitation map.
+
+    X_k sends basis column c to row x_dst[k, c] with phase x_phase[k, c] = +-1;
+    where X_k annihilates c the phase is 0 and x_dst is the discarded slot dim.
+    """
 
     def __init__(self, model: ModelSpec, graph: ExcitationGraph):
         self.model = model
@@ -205,19 +209,31 @@ class Workspace:
         self.ref_idx = self.index[model.reference]
         self.h_op = assemble_hamiltonian(model, self.basis)
         self.H = self.h_op.csr()
-        self.X = [excitation_matrix(graph, mu, self.basis).csr() for mu in graph.indices]
+        self.x_dst = np.full((len(graph), self.dim), self.dim, dtype=np.intp)
+        self.x_phase = np.zeros((len(graph), self.dim))
+        for k, mu in enumerate(graph.indices):
+            for (row, col), v in excitation_matrix(graph, mu, self.basis).entries.items():
+                self.x_dst[k, col], self.x_phase[k, col] = row, v.real
         self.target_idx = np.array([self.index[mu.target(model.reference)]
                                     for mu in graph.indices])
         self.n_elec = model.n_elec
         self.e0 = np.zeros(self.dim, dtype=complex)
         self.e0[self.ref_idx] = 1.0
 
+    def excite(self, v) -> np.ndarray:
+        """X_k v for every k at once: (..., dim) -> (..., K, dim)."""
+        v = np.asarray(v, dtype=complex)
+        out = np.zeros(v.shape[:-1] + (len(self.x_dst), self.dim + 1), dtype=complex)
+        out[..., np.arange(len(self.x_dst))[:, None], self.x_dst] = \
+            self.x_phase * v[..., None, :]
+        return out[..., :self.dim]
+
     def t_operator(self, t) -> sp.csr_matrix:
-        T = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        for tk, Xk in zip(np.asarray(t, dtype=complex), self.X):
-            if tk != 0:
-                T = T + tk * Xk
-        return T
+        """T = sum_k t_k X_k, one CSR build; zero amplitudes store nothing."""
+        data = self.x_phase * np.asarray(t, dtype=complex)[:, None]
+        k, col = np.nonzero(data)
+        return sp.csr_matrix((data[k, col], (self.x_dst[k, col], col)),
+                             shape=(self.dim, self.dim))
 
     def expm_apply(self, T: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
         """e^T v through the nilpotent series (T raises excitation rank)."""
@@ -262,13 +278,8 @@ class Workspace:
         """Analytic d r_mu / d t_nu = <Phi_mu| e^{-T} [H, X_nu] e^{T} |ref>."""
         T = self.t_operator(t)
         u = self.expm_apply(T, self.e0)
-        hu = self.H @ u
-        minus_T = -T
-        cols = []
-        for Xk in self.X:
-            y = self.H @ (Xk @ u) - Xk @ hu
-            cols.append(self.expm_apply(minus_T, y)[self.target_idx])
-        return np.array(cols).T
+        y = self.H @ self.excite(u).T - self.excite(self.H @ u).T
+        return self.expm_apply(-T, y)[self.target_idx]
 
     def ad_power_applied(self, t, order: int) -> np.ndarray:
         """ad_T^order(H) |ref> -- vanishes identically for order > 4."""
@@ -327,13 +338,10 @@ def _apply_level(ws: Workspace, level: dict, k: int, sign: float, cap: int) -> d
     for mono, vec in level.items():
         if mono_degree(mono) >= cap:
             continue
-        for nu, Xk in enumerate(ws.X):
-            w = Xk @ vec
-            if not np.any(w):
-                continue
-            m2 = mono_mul_var(mono, nu)
-            acc = out.get(m2)
-            out[m2] = (sign / k) * w if acc is None else acc + (sign / k) * w
+        xv = ws.excite(vec)
+        for nu in np.flatnonzero(xv.any(axis=1)):   # X_nu that do not annihilate vec
+            m2, w = mono_mul_var(mono, int(nu)), (sign / k) * xv[nu]
+            out[m2] = out[m2] + w if m2 in out else w
     return {m: v for m, v in out.items() if np.any(v)}
 
 
@@ -347,30 +355,20 @@ def generate_system(model: ModelSpec, graph: ExcitationGraph) -> CCSystem:
     are pruned.
     """
     ws = Workspace(model, graph)
-    cap = _BCH_ORDER
 
-    psi = {(): ws.e0.copy()}
-    level = psi
-    k = 1
-    while level:
-        level = _apply_level(ws, level, k, 1.0, cap)
-        for m, v in level.items():
-            psi[m] = psi.get(m, 0) + v
-        k += 1
+    def exp_series(level: dict, sign: float) -> dict:
+        """e^{sign T} applied to a monomial -> vector dict, level by level."""
+        total = dict(level)
+        k = 1
+        while level:
+            level = _apply_level(ws, level, k, sign, _BCH_ORDER)
+            for m, v in level.items():
+                total[m] = total.get(m, 0) + v
+            k += 1
+        return total
 
-    hpsi = {}
-    for m, v in psi.items():
-        w = ws.H @ v
-        if np.any(w):
-            hpsi[m] = w
-    out = dict(hpsi)
-    level = hpsi
-    k = 1
-    while level:
-        level = _apply_level(ws, level, k, -1.0, cap)
-        for m, v in level.items():
-            out[m] = out.get(m, 0) + v
-        k += 1
+    psi = exp_series({(): ws.e0.copy()}, 1.0)
+    out = exp_series({m: w for m, v in psi.items() if np.any(w := ws.H @ v)}, -1.0)
 
     n_vars = len(graph)
     eqs = []
@@ -456,8 +454,8 @@ class _PairBlocks:
     contributes zero.  For a hole pair and particle pair, `block` returns the
     auxiliary plus a reference matching such that the sum of both matched
     single products equals sign * y on the lift; phases of operator products
-    are read off the actual excitation matrices, so no separate sign rules
-    are needed.
+    are read off the workspace's signed excitation map, so no separate sign
+    rules are needed.
     """
 
     def __init__(self, cc: CCSystem):
@@ -472,20 +470,15 @@ class _PairBlocks:
                       for k, mu in enumerate(graph.indices) if mu.rank == 1}
         self.double_pos = {(mu.holes, mu.particles): k
                            for k, mu in enumerate(graph.indices) if mu.rank == 2}
-        # functional form of each excitation operator: src index -> (dst, phase)
-        self.xmap = []
-        for Xk in self.ws.X:
-            coo = Xk.tocoo()
-            self.xmap.append({int(c): (int(r), int(round(v.real)))
-                              for r, c, v in zip(coo.row, coo.col, coo.data)})
 
     def seq_phase(self, ops) -> tuple[int, int]:
         """Apply graph operators in sequence to the reference; return
         (basis index reached, accumulated phase +-1)."""
         idx, ph = self.ws.ref_idx, 1
         for k in ops:
-            idx, p = self.xmap[k][idx]
-            ph *= p
+            if not self.ws.x_phase[k, idx]:
+                raise QuadratizationError(f"operator {k} annihilates determinant {idx}")
+            idx, ph = int(self.ws.x_dst[k, idx]), ph * int(self.ws.x_phase[k, idx])
         return idx, ph
 
     def block(self, holes, particles):

@@ -446,6 +446,8 @@ def cmd_fractal(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
+    if not 0 < args.tol < np.inf:
+        raise CliError(f"--tol must be a positive finite number, got {args.tol}")
     model = _load_model(args.model)
     data = _read_json(args.solutions, "solutions file")
     try:

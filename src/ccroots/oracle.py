@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excitations import ExcitationGraph, build_graph, full_rank
+from .excitations import ExcitationGraph, build_graph, excitation_matrix, full_rank
 from .model import ModelSpec, assemble_hamiltonian, enumerate_determinants
 
 _DIM_CAP = 5000
@@ -86,7 +86,6 @@ def cluster_from_ci(res: FCIResult, k: int,
     fg = build_graph(model, full_rank(model))
     c = ci_coefficients(res, k)
     index = {d: i for i, d in enumerate(res.basis)}
-    from .excitations import excitation_matrix  # local to avoid cycle at import
 
     C = None
     for mu in fg.indices:

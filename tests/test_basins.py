@@ -77,6 +77,25 @@ def test_constant_rejected_by_scan():
         basin_scan(coeffs, (-1, 1, -1, 1), 4)
 
 
+def test_vanishing_leading_coefficients_trimmed_before_degree_check():
+    coeffs, _ = parse_univariate("z - z + 1")
+    np.testing.assert_array_equal(coeffs, [1, 0])
+    with pytest.raises(ValueError, match="degree >= 1"):
+        basin_scan(coeffs, (-1, 1, -1, 1), 4)
+    grid = basin_scan([-1.0, 0.0, 1.0, 0.0], (-2, 2, -1, 1), 9)   # z^2 - 1
+    assert sorted(z.real for z in grid.roots) == pytest.approx([-1.0, 1.0])
+
+
+@pytest.mark.parametrize("window", [(1, 1, -1, 1), (2, -2, -2, 2), (-1, 1, 1, -1),
+                                    (-1, np.inf, -1, 1), (np.nan, 1, -1, 1)])
+def test_window_must_be_finite_and_increasing(window):
+    sys_ = cc_system_for_rank(build_hubbard(2, 1.0, 4.0, 1, 1), 2).polynomials
+    with pytest.raises(ValueError, match="window"):
+        basin_scan([-1.0, 0.0, 1.0], window, 4)
+    with pytest.raises(ValueError, match="window"):
+        slice_scan(sys_, np.zeros(3), np.ones(3), window, 4)
+
+
 # --- grid geometry ---------------------------------------------------------------
 
 def test_pixel_centers_orientation():

@@ -17,6 +17,8 @@ from ccroots.ccpoly import (
     Polynomial,
     PolynomialSystem,
     QuadratizationError,
+    Workspace,
+    _PairBlocks,
     cc_system_for_rank,
     energy,
     generate_system,
@@ -25,7 +27,7 @@ from ccroots.ccpoly import (
     residuals,
     root_bounds,
 )
-from ccroots.excitations import build_graph, full_rank
+from ccroots.excitations import build_graph, excitation_matrix, full_rank
 from ccroots.model import build_hubbard, build_pairing
 from ccroots.oracle import cluster_from_ci, fci_solve, intermediately_normalizable
 
@@ -222,6 +224,41 @@ def test_jacobian_against_central_differences():
             j_fd[:, k] = (residuals(cc, t + dt) - residuals(cc, t - dt)) / (2 * h)
         scale = max(1.0, np.abs(j_an).max())
         np.testing.assert_allclose(j_an, j_fd, atol=1e-6 * scale)
+
+
+# --- signed excitation map -------------------------------------------------------
+
+@pytest.mark.parametrize("model", [
+    build_hubbard(3, 1.0, 2.0, 1, 1, reference=0b1100),   # not the aufbau reference
+    build_pairing(4, 1.0, 0.33, 2),
+], ids=["hubbard3-1100", "pairing4"])
+def test_signed_map_matches_excitation_matrices(model):
+    graph = build_graph(model, full_rank(model))
+    ws = Workspace(model, graph)
+    mats = [excitation_matrix(graph, mu, ws.basis).csr() for mu in graph.indices]
+    rng = np.random.default_rng(17)
+    v = random_amplitudes(rng, ws.dim)
+    xv = ws.excite(v)
+    assert xv.shape == (len(graph), ws.dim)
+    for k, x in enumerate(mats):
+        assert np.array_equal(xv[k], x @ v)
+    assert np.array_equal(ws.excite(np.stack([2 * v, v]))[1], xv)
+
+    t = random_amplitudes(rng, len(graph))
+    t[::3] = 0
+    T = ws.t_operator(t)
+    reference = sum(tk * x for tk, x in zip(t, mats))
+    assert abs(T - reference).max() == 0
+    assert T.nnz == np.count_nonzero(T.data)
+    assert T.nnz == sum(x.nnz for tk, x in zip(t, mats) if tk != 0)
+
+
+def test_pair_phase_fails_loudly_on_annihilation():
+    blocks = _PairBlocks(dimer_cc())
+    single = next(iter(blocks.by_hp.values()))
+    assert blocks.seq_phase((single,))[1] == 1
+    with pytest.raises(QuadratizationError, match="annihilates"):
+        blocks.seq_phase((single, single))
 
 
 # --- root-count bounds ----------------------------------------------------------

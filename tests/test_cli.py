@@ -558,6 +558,22 @@ def test_fractal_window_needs_four_values(tmp_path):
     assert "--window" in r.stderr
 
 
+@pytest.mark.parametrize("window", ["1,1,-1,1", "2,-2,-2,2", "-1,inf,-1,1"])
+def test_fractal_window_must_be_finite_and_increasing(tmp_path, window):
+    r = run("fractal", "--poly", "z^2-1", "--res", "8", "--window", window,
+            "-o", tmp_path / "a.ppm")
+    assert r.returncode == 2
+    assert "window" in r.stderr
+    assert not (tmp_path / "a.ppm").exists()
+
+
+def test_fractal_vanishing_top_coefficient_is_not_a_degree(tmp_path):
+    r = run("fractal", "--poly", "z-z+1", "--res", "8", "-o", tmp_path / "a.ppm")
+    assert r.returncode == 2
+    assert "degree >= 1" in r.stderr
+    assert not (tmp_path / "a.ppm").exists()
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -604,6 +620,16 @@ def test_verify_loose_tolerance_matches_greedily(work, rank1, tmp_path):
     assert all(m["distance"] <= 1.0 for m in report["matched"])
     assert len(report["unmatched_solutions"]) == 2
     assert len(report["unmatched_eigenstates"]) == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_tolerance_must_be_positive_and_finite(work, tmp_path, tol):
+    r = run("verify", "--model", work / "dimer.json",
+            "--solutions", work / "dimer_sol.json", "--tol", tol,
+            "-o", tmp_path / "rep.json")
+    assert r.returncode == 2
+    assert "--tol" in r.stderr
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_verify_sector_dimension_cap(work, tmp_path):

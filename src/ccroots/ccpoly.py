@@ -1,18 +1,17 @@
 """Projected coupled-cluster equations as exact polynomial systems.
 
-For amplitudes t over an excitation graph, the similarity-transformed
-Hamiltonian H(t) = e^{-T} H e^{T} is evaluated through the terminating
-commutator sum sum_{k<=4} (1/k!) ad_T^k(H) (exact for a two-body H), and the
-projected residuals r_mu(t) = <Phi_mu| H(t) |Phi_0> are extracted as exact
-polynomials of total degree <= 4.  A CCSD-type system can be rewritten as an
-equivalent quadratic system on the pair-product variety by introducing one
-auxiliary variable per double excitation.
+For amplitudes t over an excitation graph, the projected residuals
+r_mu(t) = <Phi_mu| e^{-T} H e^{T} |Phi_0> are evaluated by applying the
+nilpotent series of e^{T} and e^{-T} to vectors, and extracted as exact
+polynomials of total degree <= 4: the commutator series of a two-body H,
+sum_k (1/k!) ad_T^k(H), terminates at k = 4.  A CCSD-type system can be
+rewritten as an equivalent quadratic system on the pair-product variety by
+introducing one auxiliary variable per double excitation.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,8 +206,7 @@ class Workspace:
         self.index = {d: i for i, d in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.ref_idx = self.index[model.reference]
-        self.h_op = assemble_hamiltonian(model, self.basis)
-        self.H = self.h_op.csr()
+        self.H = assemble_hamiltonian(model, self.basis).csr()
         self.x_dst = np.full((len(graph), self.dim), self.dim, dtype=np.intp)
         self.x_phase = np.zeros((len(graph), self.dim))
         for k, mu in enumerate(graph.indices):
@@ -246,36 +244,23 @@ class Workspace:
             w = w + term
         return w
 
-    def residual_vector(self, t, path: str = "bch") -> np.ndarray:
-        """Components of e^{-T} H e^{T} |ref> on the determinant basis.
-
-        path "bch" sums the terminating nested-commutator series; "expm"
-        multiplies out the nilpotent exponentials and is kept as an
-        independent cross-check.
-        """
+    def residual_vector(self, t, path: str = "expm") -> np.ndarray:
+        """e^{-T} H e^{T} |ref> on the determinant basis, by the nilpotent series."""
+        if path != "expm":
+            raise ValueError(f"unknown path {path!r}")
         T = self.t_operator(t)
-        if path == "bch":
-            A = self.H
-            w = A @ self.e0
-            for k in range(1, _BCH_ORDER + 1):
-                A = A @ T - T @ A
-                if A.nnz == 0:
-                    break
-                w = w + A @ self.e0 / math.factorial(k)
-            return w
-        if path == "expm":
-            u = self.expm_apply(T, self.e0)
-            return self.expm_apply(-T, self.H @ u)
-        raise ValueError(f"unknown path {path!r}")
+        return self.expm_apply(-T, self.H @ self.expm_apply(T, self.e0))
 
     def residuals(self, t) -> np.ndarray:
+        """Projected residuals <Phi_mu| e^{-T} H e^{T} |ref> in graph order."""
         return self.residual_vector(t)[self.target_idx]
 
     def energy(self, t) -> complex:
+        """CC energy <ref| e^{-T} H e^{T} |ref> (includes any core energy)."""
         return complex(self.residual_vector(t)[self.ref_idx])
 
     def jacobian(self, t) -> np.ndarray:
-        """Analytic d r_mu / d t_nu = <Phi_mu| e^{-T} [H, X_nu] e^{T} |ref>."""
+        """Analytic Jacobian d r_mu / d t_nu = <Phi_mu| e^{-T} [H, X_nu] e^{T} |ref>."""
         T = self.t_operator(t)
         u = self.expm_apply(T, self.e0)
         y = self.H @ self.excite(u).T - self.excite(self.H @ u).T
@@ -305,29 +290,6 @@ class CCSystem:
         if self._ws is None:
             self._ws = Workspace(self.model, self.graph)
         return self._ws
-
-
-def _workspace_of(obj) -> Workspace:
-    if isinstance(obj, Workspace):
-        return obj
-    if isinstance(obj, CCSystem):
-        return obj.workspace
-    raise TypeError(f"expected CCSystem or Workspace, got {type(obj).__name__}")
-
-
-def residuals(cc, t) -> np.ndarray:
-    """Projected residuals <Phi_mu| e^{-T} H e^{T} |ref> in graph order."""
-    return _workspace_of(cc).residuals(t)
-
-
-def energy(cc, t) -> complex:
-    """CC energy <ref| e^{-T} H e^{T} |ref> (includes any core energy)."""
-    return _workspace_of(cc).energy(t)
-
-
-def jacobian(cc, t) -> np.ndarray:
-    """Analytic Jacobian of the residual map at t."""
-    return _workspace_of(cc).jacobian(t)
 
 
 # --- exact polynomial extraction ---------------------------------------------
@@ -370,13 +332,13 @@ def generate_system(model: ModelSpec, graph: ExcitationGraph) -> CCSystem:
     psi = exp_series({(): ws.e0.copy()}, 1.0)
     out = exp_series({m: w for m, v in psi.items() if np.any(w := ws.H @ v)}, -1.0)
 
-    n_vars = len(graph)
-    eqs = []
-    for row, idx in enumerate(ws.target_idx):
-        terms = {m: v[idx] for m, v in out.items() if v[idx] != 0}
-        eqs.append(Polynomial(terms).pruned())
-    energy_terms = {m: v[ws.ref_idx] for m, v in out.items() if v[ws.ref_idx] != 0}
-    energy_poly = Polynomial(energy_terms).pruned()
+    rows = np.append(ws.target_idx, ws.ref_idx)   # every equation, then the energy
+    terms = [{} for _ in rows]
+    for m, v in out.items():
+        vals = v[rows]
+        for r in np.flatnonzero(vals):
+            terms[r][m] = vals[r]
+    *eqs, energy_poly = (Polynomial(d).pruned() for d in terms)
 
     names = graph.names()
     meta = {
@@ -402,6 +364,8 @@ def poly_from_json_terms(terms: list, names: list) -> Polynomial:
     pos = {n: i for i, n in enumerate(names)}
     out = {}
     for re_c, im_c, mono in terms:
+        if any(type(e) not in (int, float) or e < 0 or e % 1 for e in mono.values()):
+            raise ValueError(f"exponents must be non-negative whole numbers: {mono}")
         key = tuple(sorted((pos[n], int(e)) for n, e in mono.items()))
         out[key] = out.get(key, 0j) + complex(re_c, im_c)
     return Polynomial(out)

@@ -154,6 +154,11 @@ def _resolve_workers(flag_value: int | None) -> int:
     return workers
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def _parse_floats(text: str, n: int, what: str) -> list:
     parts = text.split(",")
     if len(parts) != n:
@@ -269,6 +274,7 @@ def cmd_system(args, argv) -> int:
 
 
 def cmd_solve(args, argv) -> int:
+    _check_seed(args.seed)
     workers = _resolve_workers(args.workers)
     text = _read_text(args.system, "system file")
     try:
@@ -311,6 +317,7 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_kp(args, argv) -> int:
+    _check_seed(args.seed)
     workers = _resolve_workers(args.workers)
     model = _load_model(args.model)
     if args.rho < 2:
@@ -458,7 +465,7 @@ def cmd_verify(args, argv) -> int:
                 raise CliError(f"solution {k} carries no energy; only systems "
                                "generated by this package embed one")
             energies.append(complex(s["energy"][0], s["energy"][1]))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise CliError(f"solutions file {args.solutions!r} is malformed: "
                        f"{exc}") from exc
 

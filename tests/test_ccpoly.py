@@ -9,6 +9,7 @@ Oracles:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,11 +21,9 @@ from ccroots.ccpoly import (
     Workspace,
     _PairBlocks,
     cc_system_for_rank,
-    energy,
     generate_system,
-    jacobian,
+    poly_from_json_terms,
     quadratize,
-    residuals,
     root_bounds,
 )
 from ccroots.excitations import build_graph, excitation_matrix, full_rank
@@ -142,7 +141,7 @@ def test_dimer_roots_in_closed_form():
     for t, e in zip(roots, energies):
         np.testing.assert_allclose(np.abs(cc.polynomials.evaluate(t)), 0,
                                    atol=1e-12)
-        assert energy(cc, t) == pytest.approx(e, abs=1e-12)
+        assert cc.workspace.energy(t) == pytest.approx(e, abs=1e-12)
 
 
 # --- dual-route residual checks ------------------------------------------------
@@ -160,7 +159,7 @@ def test_polynomials_match_matrix_route(make):
     for _ in range(10):
         t = random_amplitudes(rng, len(cc.graph))
         via_poly = cc.polynomials.evaluate(t)
-        via_bch = ws.residual_vector(t, path="bch")
+        via_bch = sum(ws.ad_power_applied(t, k) / math.factorial(k) for k in range(5))
         via_expm = ws.residual_vector(t, path="expm")
         scale = max(1.0, np.abs(via_expm).max())
         np.testing.assert_allclose(via_bch, via_expm, atol=1e-11 * scale)
@@ -168,6 +167,16 @@ def test_polynomials_match_matrix_route(make):
                                    atol=1e-11 * scale)
         assert cc.energy_poly.evaluate(t) == pytest.approx(ws.energy(t),
                                                            abs=1e-11 * scale)
+
+
+def test_residual_map_has_one_route():
+    ws = cc_system_for_rank(build_pairing(4, 1.0, 0.33, 2), 2).workspace
+    t = random_amplitudes(np.random.default_rng(8), len(ws.graph))
+    vec = ws.residual_vector(t)
+    assert np.array_equal(ws.residuals(t), vec[ws.target_idx])
+    assert ws.energy(t) == vec[ws.ref_idx]
+    with pytest.raises(ValueError, match="unknown path"):
+        ws.residual_vector(t, path="bch")
 
 
 def test_commutator_series_terminates():
@@ -203,7 +212,7 @@ def test_fci_amplitudes_are_roots():
             continue
         t = cluster_from_ci(res, k)
         assert np.abs(cc.polynomials.evaluate(t)).max() < 1e-10
-        assert energy(cc, t) == pytest.approx(res.energies[k], abs=1e-10)
+        assert cc.workspace.energy(t) == pytest.approx(res.energies[k], abs=1e-10)
 
 
 # --- Jacobians ----------------------------------------------------------------
@@ -214,14 +223,15 @@ def test_jacobian_against_central_differences():
     h = 1e-6
     for _ in range(5):
         t = random_amplitudes(rng, len(cc.graph))
-        j_an = jacobian(cc, t)
+        j_an = cc.workspace.jacobian(t)
         j_poly = cc.polynomials.jacobian(t)
         np.testing.assert_allclose(j_an, j_poly, atol=1e-10)
         j_fd = np.empty_like(j_an)
         for k in range(len(t)):
             dt = np.zeros(len(t), dtype=complex)
             dt[k] = h
-            j_fd[:, k] = (residuals(cc, t + dt) - residuals(cc, t - dt)) / (2 * h)
+            j_fd[:, k] = (cc.workspace.residuals(t + dt)
+                          - cc.workspace.residuals(t - dt)) / (2 * h)
         scale = max(1.0, np.abs(j_an).max())
         np.testing.assert_allclose(j_an, j_fd, atol=1e-6 * scale)
 
@@ -385,6 +395,17 @@ def test_json_roundtrip_and_determinism():
     data = json.loads(text)
     assert data["metadata"]["kind"] == "cc"
     assert data["variables"] == cc.polynomials.var_names
+
+
+@pytest.mark.parametrize("exponent", [1.5, -1, "2", True, float("nan")])
+def test_json_exponent_must_be_a_non_negative_whole_number(exponent):
+    with pytest.raises(ValueError, match="exponent"):
+        poly_from_json_terms([[1.0, 0.0, {"x": exponent}]], ["x"])
+
+
+def test_json_whole_float_exponent_is_accepted():
+    p = poly_from_json_terms([[2.0, 0.0, {"x": 2.0}], [1.0, 0.0, {}]], ["x"])
+    assert p.terms == {((0, 2),): 2.0, (): 1.0}
 
 
 def test_quadratized_json_roundtrip():

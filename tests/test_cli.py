@@ -20,11 +20,17 @@ import os
 import subprocess
 import sys
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ccroots
 from ccroots.ccpoly import Polynomial, PolynomialSystem
 from ccroots.model import build_pairing, model_to_dict, save_integrals
+
+# the subprocesses import the same copy of the package as these tests
+PACKAGE_ROOT = Path(ccroots.__file__).resolve().parents[1]
 
 SQRT2 = np.sqrt(2.0)
 DIMER_ENERGIES = sorted([2.0 - 2.0 * SQRT2, 4.0, 2.0 + 2.0 * SQRT2])
@@ -39,6 +45,8 @@ PAIRING_DELTA_E = -0.0005906742272834276
 
 def run(*args, env_extra=None):
     env = {k: v for k, v in os.environ.items() if k != "CCROOTS_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -366,6 +374,27 @@ def test_solve_malformed_system_file(tmp_path, text):
     assert "malformed" in r.stderr
 
 
+@pytest.mark.parametrize("exponent", [1.5, -1])
+def test_solve_system_file_bad_exponent_is_malformed(tmp_path, exponent):
+    # x^1.5 - 4 used to be read as x - 4, and x^-1 as x^dmax
+    (tmp_path / "sys.json").write_text(json.dumps(
+        {"variables": ["x"], "equations": [[[1.0, 0.0, {"x": exponent}],
+                                            [-4.0, 0.0, {}]]]}))
+    r = run("solve", "--system", tmp_path / "sys.json",
+            "-o", tmp_path / "sol.json")
+    assert r.returncode == 2
+    assert "malformed" in r.stderr
+    assert not (tmp_path / "sol.json").exists()
+
+
+def test_solve_seed_must_be_non_negative(work, tmp_path):
+    r = run("solve", "--system", work / "dimer_sys.json", "--seed", "-1",
+            "-o", tmp_path / "sol.json")
+    assert r.returncode == 2
+    assert "--seed must be a non-negative integer" in r.stderr
+    assert not (tmp_path / "sol.json").exists()
+
+
 # --- kp -------------------------------------------------------------------------
 
 
@@ -496,6 +525,15 @@ def test_kp_homotopy_starts_path_budget_exit_capability(work, tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("extra", [[], ["--homotopy-starts"]], ids=["plain", "homotopy-starts"])
+def test_kp_seed_must_be_non_negative(work, tmp_path, extra):
+    r = run("kp", "--model", work / "dimer.json", "--rho", "2", *extra,
+            "--seed", "-1", "--workers", "1", "-o", tmp_path / "b")
+    assert r.returncode == 2
+    assert "--seed must be a non-negative integer" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # --- fractal --------------------------------------------------------------------
 
 
@@ -535,6 +573,17 @@ def test_fractal_system_requires_slice(work, tmp_path):
             "-o", tmp_path / "s.ppm")
     assert r.returncode == 2
     assert "--slice" in r.stderr
+
+
+def test_fractal_system_file_bad_exponent_is_malformed(tmp_path):
+    (tmp_path / "sys.json").write_text(json.dumps(
+        {"variables": ["x"], "equations": [[[1.0, 0.0, {"x": -1}],
+                                            [-4.0, 0.0, {}]]]}))
+    r = run("fractal", "--system", tmp_path / "sys.json", "--slice", "1",
+            "--res", "4", "-o", tmp_path / "s.ppm")
+    assert r.returncode == 2
+    assert "malformed" in r.stderr
+    assert not (tmp_path / "s.ppm").exists()
 
 
 def test_fractal_res_must_be_positive(tmp_path):
@@ -649,3 +698,12 @@ def test_verify_solutions_without_energy_rejected(work, tmp_path):
             "--solutions", tmp_path / "sol.json", "-o", tmp_path / "rep.json")
     assert r.returncode == 2
     assert "no energy" in r.stderr
+
+
+def test_verify_non_object_solution_entry_is_malformed(work, tmp_path):
+    (tmp_path / "sol.json").write_text(json.dumps({"solutions": [[1, 2]]}))
+    r = run("verify", "--model", work / "dimer.json",
+            "--solutions", tmp_path / "sol.json", "-o", tmp_path / "rep.json")
+    assert r.returncode == 2
+    assert "malformed" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -264,8 +264,9 @@ def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
 
     def newton_step(za):
         x = base[None, :] + za[:, None] * direction[None, :]
-        g = (system.evaluate(x) @ direction.conj()) / nrm2
-        dg = ((system.jacobian(x) @ direction) @ direction.conj()) / nrm2
+        f, J = system.evaluate_and_jacobian(x)
+        g = (f @ direction.conj()) / nrm2
+        dg = ((J @ direction) @ direction.conj()) / nrm2
         with np.errstate(divide="ignore", invalid="ignore"):
             return g / dg
 

@@ -113,25 +113,32 @@ class Polynomial:
 
 
 def _monomial_table(polys: list, n_vars: int) -> tuple:
-    """The exponent rows of every monomial of `polys` in graded-lex order, and
-    a (monomials, len(polys)) coefficient matrix, one column per polynomial."""
+    """Every monomial of `polys` in graded-lex order, compiled for
+    `_evaluate_table`: the power column 0..dmax, each monomial's factors
+    x_v^e as flat (e, v) indices into the power table in variable order
+    (padded with x_0^0 = 1), and a (monomials, len(polys)) coefficient matrix
+    with one column per polynomial."""
     keyed = sorted({(mono_sort_key(m, n_vars), m) for p in polys for m in p.terms})
     row = {m: i for i, (_, m) in enumerate(keyed)}
-    exps = np.array([key[1] for key, _ in keyed], dtype=np.intp).reshape(len(keyed), n_vars)
-    coeffs = np.zeros((len(keyed), len(polys)), dtype=complex)
+    factors = np.zeros((len(row), max(map(len, row), default=0)), dtype=np.intp)
+    for mono, i in row.items():
+        factors[i, :len(mono)] = [e * n_vars + v for v, e in mono]
+    coeffs = np.zeros((len(row), len(polys)), dtype=complex)
     for j, p in enumerate(polys):
         for mono, c in p.terms.items():
             coeffs[row[mono], j] = c
-    return exps, coeffs
+    dmax = max((e for mono in row for _, e in mono), default=0)
+    return np.arange(dmax + 1)[:, None], factors, coeffs
 
 
 def _evaluate_table(table: tuple, x) -> np.ndarray:
-    """All polynomials of a monomial table at x (..., n_vars): (..., n_polys)."""
-    exps, coeffs = table
-    x = np.asarray(x, dtype=complex)
-    powers = x[..., None, :] ** np.arange(exps.max(initial=0) + 1)[:, None]
-    monos = powers[..., exps, np.arange(exps.shape[1])].prod(axis=-1)
-    return monos @ coeffs
+    """All polynomials of a monomial table at x (..., n_vars): (..., n_polys).
+
+    A monomial is the product of its own factors only: the unit powers the
+    other variables would contribute change no finite product."""
+    power, factors, coeffs = table
+    powers = np.asarray(x, dtype=complex)[..., None, :] ** power
+    return powers.reshape(powers.shape[:-2] + (-1,))[..., factors].prod(axis=-1) @ coeffs
 
 
 class PolynomialSystem:
@@ -141,7 +148,7 @@ class PolynomialSystem:
         self.equations = list(equations)
         self.var_names = list(var_names)
         self.metadata = dict(metadata or {})
-        self._compiled = self._jac_compiled = None   # tables of F and J, built on first use
+        self._compiled = self._jac_compiled = None   # tables of F and of F with J, built on first use
 
     @property
     def n_vars(self) -> int:
@@ -160,14 +167,19 @@ class PolynomialSystem:
             self._compiled = _monomial_table(self.equations, self.n_vars)
         return _evaluate_table(self._compiled, x)
 
-    def jacobian(self, x) -> np.ndarray:
-        """Jacobian at x; batched like evaluate, result (..., n_eqs, n_vars)."""
+    def evaluate_and_jacobian(self, x) -> tuple:
+        """F (..., n_eqs) and its Jacobian (..., n_eqs, n_vars) from one table pass."""
         if self._jac_compiled is None:
             self._jac_compiled = _monomial_table(
-                [eq.diff(v) for eq in self.equations for v in range(self.n_vars)],
-                self.n_vars)
+                self.equations + [eq.diff(v) for eq in self.equations
+                                  for v in range(self.n_vars)], self.n_vars)
         out = _evaluate_table(self._jac_compiled, x)
-        return out.reshape(out.shape[:-1] + (self.n_eqs, self.n_vars))
+        n = self.n_eqs
+        return out[..., :n], out[..., n:].reshape(out.shape[:-1] + (n, self.n_vars))
+
+    def jacobian(self, x) -> np.ndarray:
+        """Jacobian at x; batched like evaluate, result (..., n_eqs, n_vars)."""
+        return self.evaluate_and_jacobian(x)[1]
 
     # serialization: term order is graded lexicographic in the exponent vector
     def to_dict(self) -> dict:
@@ -366,6 +378,8 @@ def poly_from_json_terms(terms: list, names: list) -> Polynomial:
     for re_c, im_c, mono in terms:
         if any(type(e) not in (int, float) or e < 0 or e % 1 for e in mono.values()):
             raise ValueError(f"exponents must be non-negative whole numbers: {mono}")
+        if not mono.keys() <= pos.keys():
+            raise ValueError(f"unknown variables {sorted(mono.keys() - pos.keys())}")
         key = tuple(sorted((pos[n], int(e)) for n, e in mono.items()))
         out[key] = out.get(key, 0j) + complex(re_c, im_c)
     return Polynomial(out)

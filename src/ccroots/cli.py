@@ -289,7 +289,7 @@ def cmd_solve(args, argv) -> int:
     except PathBudgetError as exc:
         raise CliError(str(exc), EXIT_CAPABILITY) from exc
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"system file {args.system!r} is malformed: {exc}") from exc
 
     outputs = [args.output]
     _write_text(args.output, _json_text(sol.to_dict()))

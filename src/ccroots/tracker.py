@@ -134,10 +134,6 @@ def _start_values(x, degrees):
     return x ** degrees - 1.0
 
 
-def _start_jacobian(x, degrees):
-    return np.diag(degrees * x ** (degrees - 1))
-
-
 def newton(fun, jac, x, tol: float, max_iters: int):
     """Newton's method on fun(x) = 0; returns (x, converged, iterations, residual).
 
@@ -240,11 +236,14 @@ def track_path(system: PolynomialSystem, degrees: np.ndarray, path_index: int,
     x = start_root(degrees, path_index)
     trace = [(1.0, x.copy())] if options.record_trace else None
     norm_at_endgame = None
+    diag = np.arange(0, x.size ** 2, x.size + 1)    # flat indices of J's diagonal
+    lowered = degrees - 1
 
     def parts(xv, lv):
-        f = system.evaluate(xv)
+        f, J = system.evaluate_and_jacobian(xv)
         g = _start_values(xv, degrees)
-        J = (1.0 - lv) * system.jacobian(xv) + gamma * lv * _start_jacobian(xv, degrees)
+        J = (1.0 - lv) * J
+        J.flat[diag] += gamma * lv * (degrees * xv ** lowered)
         return f, g, J
 
     def tangent(xv, lv):
@@ -335,12 +334,11 @@ def solve_all(system: PolynomialSystem, options: TrackOptions | None = None) -> 
     if n_paths > _MAX_PATHS:
         raise PathBudgetError(
             f"{n_paths} start paths exceed the tracking budget {_MAX_PATHS}")
-    gamma = gamma_from_seed(options.rng_seed)
-    paths = [track_path(system, degrees, i, gamma, options) for i in range(n_paths)]
-
     energy_poly = None
     if "energy" in system.metadata:
         energy_poly = poly_from_json_terms(system.metadata["energy"], system.var_names)
+    gamma = gamma_from_seed(options.rng_seed)
+    paths = [track_path(system, degrees, i, gamma, options) for i in range(n_paths)]
 
     solutions = []
     for p in paths:

@@ -106,6 +106,31 @@ def test_compiled_evaluator_matches_per_term_reference(batch):
     assert np.all(f[..., 4] == 2.5 - 1.0j)
 
 
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+def test_fused_evaluator_matches_per_term_reference(batch):
+    # F and J from one table pass, on random sparse equations and on
+    # x0^3 + x1, whose Jacobian has the monomial x0^2 that F lacks
+    rng = np.random.default_rng(11)
+    n_vars = 4
+    eqs = [random_sparse_polynomial(rng, n_vars, 6) for _ in range(2)]
+    eqs += [Polynomial({((0, 3),): 1.0, ((1, 1),): 1.0}), Polynomial({(): -2.0})]
+    system = PolynomialSystem(eqs, [f"x{v}" for v in range(n_vars)])
+    x = 0.8 * random_amplitudes(rng, int(np.prod(batch)) * n_vars).reshape(batch + (n_vars,))
+
+    f, jac = system.evaluate_and_jacobian(x)
+    assert f.shape == batch + (len(eqs),)
+    assert jac.shape == batch + (len(eqs), n_vars)
+    for idx in np.ndindex(*batch):
+        for j, eq in enumerate(eqs):
+            assert f[idx + (j,)] == pytest.approx(eq.evaluate(x[idx]), rel=1e-12, abs=1e-12)
+            for v in range(n_vars):
+                assert jac[idx + (j, v)] == pytest.approx(
+                    eq.diff(v).evaluate(x[idx]), rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(jac[..., 2, 0], 3.0 * x[..., 0] ** 2, rtol=1e-14)
+    np.testing.assert_array_equal(system.jacobian(x), jac)
+    np.testing.assert_allclose(system.evaluate(x), f, rtol=1e-14, atol=1e-14)
+
+
 # --- dimer equations by hand -------------------------------------------------
 
 def test_dimer_equations_match_hand_derivation():

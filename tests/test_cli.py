@@ -387,6 +387,20 @@ def test_solve_system_file_bad_exponent_is_malformed(tmp_path, exponent):
     assert not (tmp_path / "sol.json").exists()
 
 
+def test_solve_unknown_energy_variable_is_malformed(tmp_path):
+    # the energy is decoded before any path is tracked, so the run fails fast
+    # with a usage error instead of a traceback after the tracking
+    (tmp_path / "sys.json").write_text(json.dumps(
+        {"variables": ["x"], "equations": [[[1.0, 0.0, {"x": 2}], [-4.0, 0.0, {}]]],
+         "metadata": {"energy": [[1.0, 0.0, {"y": 1}]]}}))
+    r = run("solve", "--system", tmp_path / "sys.json",
+            "-o", tmp_path / "sol.json")
+    assert r.returncode == 2
+    assert "is malformed" in r.stderr and "'y'" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "sol.json").exists()
+
+
 def test_solve_seed_must_be_non_negative(work, tmp_path):
     r = run("solve", "--system", work / "dimer_sys.json", "--seed", "-1",
             "-o", tmp_path / "sol.json")

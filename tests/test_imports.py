@@ -1,4 +1,5 @@
-"""Every name a ccroots module imports is used in that module.
+"""Every name a ccroots module imports is used in that module, and the
+command line stays light to import.
 
 Static check with the standard-library ``ast``: the package's re-exports
 live in ``__init__.py``, which is excluded, so any other unused import is
@@ -6,6 +7,9 @@ dead weight.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,17 @@ def test_checker_flags_unused_and_accepts_used():
               "from typing import Any\n"
               "def f(x) -> 'Any':\n    return np.abs(x)\n")
     assert unused_imports(source) == ["dataclass", "field", "sp"]
+
+
+def test_cli_import_skips_dense_and_sparse_linalg():
+    # scipy.linalg and scipy.sparse.linalg would add about 80 ms and 6 MB to
+    # every command; numpy.linalg serves the tracker and basin scans
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + ([os.environ["PYTHONPATH"]]
+                                 if os.environ.get("PYTHONPATH") else [])))
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, ccroots.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True)
+    loaded = set(r.stdout.split())
+    assert "ccroots.cli" in loaded
+    assert not loaded & {"scipy.linalg", "scipy.sparse.linalg"}

@@ -8,11 +8,13 @@ Oracles:
     continuation missed.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from ccroots import cli, tracker
 from ccroots.ccpoly import Polynomial, PolynomialSystem, cc_system_for_rank, quadratize
 from ccroots.model import build_hubbard, build_pairing
 from ccroots.tracker import (
@@ -320,3 +322,62 @@ def test_solution_artifact_fields():
     for entry in data["solutions"]:
         assert set(entry) == {"x", "path", "multiplicity", "is_real",
                               "residual", "energy"}
+
+
+def test_unknown_energy_variable_fails_before_any_path(monkeypatch):
+    # an energy polynomial in a variable the system lacks is rejected up
+    # front, not after every path has been tracked
+    calls = []
+    monkeypatch.setattr(tracker, "track_path", lambda *a: calls.append(a))
+    sys_ = scalar_system({2: 1.0, 0: -4.0}, name="x")
+    sys_.metadata["energy"] = [[1.0, 0.0, {"y": 1}]]
+    with pytest.raises(ValueError, match="unknown variables"):
+        solve_all(sys_)
+    assert calls == []
+
+
+# --- the per-path contract that bench/layers.py traces through -------------------
+
+def test_solve_all_calls_module_level_track_path_and_newton_refine(monkeypatch):
+    track_calls, refine_calls = [], []
+    track_path, refine = tracker.track_path, tracker.newton_refine
+
+    def counting_track_path(*args, **kwargs):
+        track_calls.append((args, kwargs))
+        return track_path(*args, **kwargs)
+
+    def counting_refine(*args, **kwargs):
+        refine_calls.append(args)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(tracker, "track_path", counting_track_path)
+    monkeypatch.setattr(tracker, "newton_refine", counting_refine)
+    sys_ = dimer_system()
+    options = TrackOptions(rng_seed=3)
+    result = solve_all(sys_, options)
+    assert len(track_calls) == result.n_paths == 8
+    for index, (args, kwargs) in enumerate(track_calls):
+        assert kwargs == {} and len(args) == 5
+        system, degrees, path_index, gamma, opts = args
+        assert system is sys_ and opts is options
+        assert list(degrees) == [2, 2, 2]
+        assert path_index == index and gamma == result.gamma
+    assert 0 < len(refine_calls) <= result.n_paths
+    assert all(a[0] is sys_ for a in refine_calls)
+
+
+def test_record_trace_via_dataclasses_replace():
+    sys_ = dimer_system()
+    options = dataclasses.replace(TrackOptions(rng_seed=3), record_trace=True)
+    for p in solve_all(sys_, options).paths:
+        assert len(p.trace) >= 2 and p.steps >= len(p.trace) - 2
+        for lam, x in p.trace:
+            assert isinstance(lam, float) and x.shape == (sys_.n_vars,)
+
+
+def test_cli_solve_accepts_workers_one(tmp_path):
+    (tmp_path / "sys.json").write_text(dimer_system().to_json())
+    rc = cli.main(["solve", "--system", str(tmp_path / "sys.json"), "--workers", "1",
+                   "-o", str(tmp_path / "sol.json")])
+    assert rc == 0
+    assert json.loads((tmp_path / "sol.json").read_text())["n_paths"] == 8

@@ -271,12 +271,21 @@ class Workspace:
         """CC energy <ref| e^{-T} H e^{T} |ref> (includes any core energy)."""
         return complex(self.residual_vector(t)[self.ref_idx])
 
-    def jacobian(self, t) -> np.ndarray:
-        """Analytic Jacobian d r_mu / d t_nu = <Phi_mu| e^{-T} [H, X_nu] e^{T} |ref>."""
+    def residuals_and_jacobian(self, t) -> tuple:
+        """Residuals and their Jacobian from one T, e^{T}|ref> and H e^{T}|ref>.
+
+        d r_mu / d t_nu = <Phi_mu| e^{-T} [H, X_nu] e^{T} |ref>.
+        """
         T = self.t_operator(t)
         u = self.expm_apply(T, self.e0)
-        y = self.H @ self.excite(u).T - self.excite(self.H @ u).T
-        return self.expm_apply(-T, y)[self.target_idx]
+        hu = self.H @ u
+        y = self.H @ self.excite(u).T - self.excite(hu).T
+        T = -T
+        return self.expm_apply(T, hu)[self.target_idx], self.expm_apply(T, y)[self.target_idx]
+
+    def jacobian(self, t) -> np.ndarray:
+        """Analytic Jacobian d r_mu / d t_nu in graph order."""
+        return self.residuals_and_jacobian(t)[1]
 
     def ad_power_applied(self, t, order: int) -> np.ndarray:
         """ad_T^order(H) |ref> -- vanishes identically for order > 4."""
@@ -376,12 +385,15 @@ def poly_from_json_terms(terms: list, names: list) -> Polynomial:
     pos = {n: i for i, n in enumerate(names)}
     out = {}
     for re_c, im_c, mono in terms:
+        c = complex(re_c, im_c)
+        if not np.isfinite(c):
+            raise ValueError(f"non-finite coefficient {c} in term {mono}")
         if any(type(e) not in (int, float) or e < 0 or e % 1 for e in mono.values()):
             raise ValueError(f"exponents must be non-negative whole numbers: {mono}")
         if not mono.keys() <= pos.keys():
             raise ValueError(f"unknown variables {sorted(mono.keys() - pos.keys())}")
         key = tuple(sorted((pos[n], int(e)) for n, e in mono.items()))
-        out[key] = out.get(key, 0j) + complex(re_c, im_c)
+        out[key] = out.get(key, 0j) + c
     return Polynomial(out)
 
 

@@ -58,9 +58,6 @@ EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 EXIT_NUMERICAL = 4
 
-_THREADS_ENV = "CCROOTS_THREADS"
-
-
 class CliError(Exception):
     """Carries the process exit code alongside the message."""
 
@@ -138,25 +135,11 @@ def _write_manifest(primary: str, argv: list, seed: int | None,
     return path
 
 
-def _resolve_workers(flag_value: int | None) -> int:
-    if flag_value is not None:
-        workers = flag_value
-    elif os.environ.get(_THREADS_ENV):
-        try:
-            workers = int(os.environ[_THREADS_ENV])
-        except ValueError as exc:
-            raise CliError(f"{_THREADS_ENV} must be an integer, "
-                           f"got {os.environ[_THREADS_ENV]!r}") from exc
-    else:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise CliError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise CliError(f"--seed must be a non-negative integer, got {seed}")
+def _check_seed_and_workers(args) -> None:
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.workers is not None and args.workers < 1:
+        raise CliError(f"worker count must be >= 1, got {args.workers}")
 
 
 def _parse_floats(text: str, n: int, what: str) -> list:
@@ -274,16 +257,14 @@ def cmd_system(args, argv) -> int:
 
 
 def cmd_solve(args, argv) -> int:
-    _check_seed(args.seed)
-    workers = _resolve_workers(args.workers)
+    _check_seed_and_workers(args)
     text = _read_text(args.system, "system file")
     try:
         system = PolynomialSystem.from_json(text)
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise CliError(f"system file {args.system!r} is malformed: {exc}") from exc
 
-    options = TrackOptions(rng_seed=args.seed, workers=workers,
-                           record_trace=args.trace_dir is not None)
+    options = TrackOptions(rng_seed=args.seed, record_trace=args.trace_dir is not None)
     try:
         sol = solve_all(system, options)
     except PathBudgetError as exc:
@@ -317,8 +298,7 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_kp(args, argv) -> int:
-    _check_seed(args.seed)
-    workers = _resolve_workers(args.workers)
+    _check_seed_and_workers(args)
     model = _load_model(args.model)
     if args.rho < 2:
         raise CliError(f"--rho must be at least 2, got {args.rho} "
@@ -328,7 +308,7 @@ def cmd_kp(args, argv) -> int:
     except SectorError as exc:
         raise CliError(str(exc)) from exc
 
-    options = TrackOptions(rng_seed=args.seed, workers=workers)
+    options = TrackOptions(rng_seed=args.seed)
     inputs = [args.model]
     state_label: str | int
     try:
@@ -566,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write one CSV of accepted (lambda, x) samples "
                    "per path")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"accepted for compatibility and validated (a "
-                   f"positive integer, like ${_THREADS_ENV}); tracking is serial")
+                   help="ignored: tracking is serial (accepted for "
+                   "compatibility; must be a positive integer)")
     p.add_argument("-o", "--output", required=True, help="solutions JSON path")
     p.set_defaults(func=cmd_solve)
 
@@ -590,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed used when --homotopy-starts tracks the "
                    "truncated system (default 0)")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"accepted for compatibility and validated (a "
-                   f"positive integer, like ${_THREADS_ENV}); tracking is serial")
+                   help="ignored: tracking is serial (accepted for "
+                   "compatibility; must be a positive integer)")
     p.add_argument("-o", "--output", required=True,
                    help="output prefix: writes PREFIX.trajectory.csv and "
                    "PREFIX.bundle.json")

@@ -20,7 +20,8 @@ r = Workspace.residuals, at t and at t0 (t with tp zeroed):
     low rows:   (1 - lam) r(t0) + lam r(t)        high rows:  r(t)
 
 Its Jacobian is lam J(t) plus (1 - lam) J(t0) in the [low, low] block, and its
-lam-derivative is r(t) - r(t0) on the low rows and zero on the high rows.
+lam-derivative is r(t) - r(t0) on the low rows and zero on the high rows; one
+Workspace.residuals_and_jacobian pass at t and one at t0 give all three.
 """
 
 from __future__ import annotations
@@ -137,20 +138,19 @@ def _residual(prob: KPProblem, t: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _jacobian(prob: KPProblem, t: np.ndarray, lam: float) -> np.ndarray:
+def _map(prob: KPProblem, t: np.ndarray, lam: float) -> tuple:
+    """(H, J, dH/dlam) of the coupled map, one residual-and-Jacobian pass at t and at t0."""
     ws = prob.ws
     low = list(prob.low)
     block = np.ix_(low, low)
-    J = ws.jacobian(t)
+    r, J = ws.residuals_and_jacobian(t)
+    r0, J0 = ws.residuals_and_jacobian(prob.state(t, lam).low_padded())
+    dlam = r - r0
+    dlam[list(prob.high)] = 0.0
+    r[low] = (1.0 - lam) * r0[low] + lam * r[low]
     J[low, :] *= lam
-    J[block] += (1.0 - lam) * ws.jacobian(prob.state(t, lam).low_padded())[block]
-    return J
-
-
-def _dlam(prob: KPProblem, t: np.ndarray) -> np.ndarray:
-    out = prob.ws.residuals(t) - prob.ws.residuals(prob.state(t, 0.0).low_padded())
-    out[list(prob.high)] = 0.0
-    return out
+    J[block] += (1.0 - lam) * J0[block]
+    return r, J, dlam
 
 
 def kp_residual(prob: KPProblem, state: KPState) -> np.ndarray:
@@ -162,13 +162,13 @@ def kp_residual(prob: KPProblem, state: KPState) -> np.ndarray:
 def kp_jacobian(prob: KPProblem, state: KPState) -> np.ndarray:
     """Analytic Jacobian of the coupled map with respect to the amplitudes."""
     _check_state(prob, state)
-    return _jacobian(prob, state.t_full, state.lam)
+    return _map(prob, state.t_full, state.lam)[1]
 
 
 def kp_dlam(prob: KPProblem, state: KPState) -> np.ndarray:
     """Derivative of the coupled map with respect to lam (high rows vanish)."""
     _check_state(prob, state)
-    return _dlam(prob, state.t_full)
+    return _map(prob, state.t_full, state.lam)[2]
 
 
 def _block_newton(ws: Workspace, t: np.ndarray, idx: list, start: np.ndarray,
@@ -179,9 +179,11 @@ def _block_newton(ws: Workspace, t: np.ndarray, idx: list, start: np.ndarray,
         tt[idx] = x
         return tt
 
-    x, ok, _, _ = newton(lambda x: ws.residuals(at(x))[idx],
-                         lambda x: ws.jacobian(at(x))[np.ix_(idx, idx)],
-                         start, tol, _LAMBDA0_MAX_ITERS)
+    def fun_and_jac(x):
+        r, J = ws.residuals_and_jacobian(at(x))
+        return r[idx], J[np.ix_(idx, idx)]
+
+    x, ok, _, _ = newton(fun_and_jac, start, tol, _LAMBDA0_MAX_ITERS)
     return at(x) if ok else None
 
 
@@ -281,15 +283,14 @@ def kp_track(prob: KPProblem, state0: KPState,
                   float(np.abs(t - t0).max(initial=0.0)))
 
     outcome, t, _, traj.steps = _continue(
-        lambda t, lam: (_jacobian(prob, t, lam), -_dlam(prob, t)),
-        lambda t, lam: (_residual(prob, t, lam), _jacobian(prob, t, lam)),
-        t0, float(state0.lam), 1.0, options, on_accept=on_accept)
+        lambda t, lam: _map(prob, t, lam), t0, float(state0.lam), 1.0, options,
+        on_accept=on_accept)
     if outcome == "diverged":
         traj.endpoint_status = "diverged"
     if outcome != "reached":
         return traj
 
-    t, _, _, res = newton(ws.residuals, ws.jacobian, t, options.refine_tol,
+    t, _, _, res = newton(ws.residuals_and_jacobian, t, options.refine_tol,
                           options.refine_max_iters)
     traj.endpoint = prob.state(t, 1.0)
     traj.endpoint_residual = res

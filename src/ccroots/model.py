@@ -122,6 +122,13 @@ def _h2_key(p: int, q: int, r: int, s: int) -> tuple[int, int, int, int]:
     return min(_h2_orbit((p, q, r, s)))
 
 
+def _finite(v, what: str) -> float:
+    v = float(v)
+    if not np.isfinite(v):
+        raise ValueError(f"{what} is not finite: {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class IntegralTable:
     """One- and two-electron integrals over spatial orbitals.
@@ -141,28 +148,30 @@ class IntegralTable:
         """Build from (p,q,value) / (p,q,r,s,value) iterables, folding symmetry.
 
         Entries that disagree across a symmetry orbit by more than tol raise
-        SymmetryError.
+        SymmetryError; a non-finite value raises ValueError.
         """
         h1 = {}
         for p, q, v in h1_entries:
             if not (0 <= p < n_spatial and 0 <= q < n_spatial):
                 raise SectorError(f"h1 index ({p},{q}) outside 0..{n_spatial - 1}")
+            v = _finite(v, f"h1 entry ({p},{q})")
             k = _h1_key(p, q)
             if k in h1 and abs(h1[k] - v) > tol:
                 raise SymmetryError(f"h1 entry {k}: {h1[k]} vs {v}")
-            h1[k] = float(v)
+            h1[k] = v
         h2 = {}
         for p, q, r, s, v in h2_entries:
             for i in (p, q, r, s):
                 if not 0 <= i < n_spatial:
                     raise SectorError(f"h2 index {(p, q, r, s)} outside 0..{n_spatial - 1}")
+            v = _finite(v, f"h2 entry {(p, q, r, s)}")
             k = _h2_key(p, q, r, s)
             if k in h2 and abs(h2[k] - v) > tol:
                 raise SymmetryError(f"h2 entry {k}: {h2[k]} vs {v}")
-            h2[k] = float(v)
+            h2[k] = v
         h1 = {k: v for k, v in h1.items() if v != 0.0}
         h2 = {k: v for k, v in h2.items() if v != 0.0}
-        return cls(n_spatial, h1, h2, float(core_energy))
+        return cls(n_spatial, h1, h2, _finite(core_energy, "core energy"))
 
     def h1_element(self, p: int, q: int) -> float:
         return self.h1.get(_h1_key(p, q), 0.0)
@@ -397,7 +406,7 @@ def load_integrals(path, n_up: int | None = None, n_dn: int | None = None,
     norb, hdr_up, hdr_dn, core = header
     try:
         table = IntegralTable.from_entries(norb, h1_entries, h2_entries, core)
-    except (SymmetryError, SectorError) as exc:
+    except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     n_up = hdr_up if n_up is None else n_up
     n_dn = hdr_dn if n_dn is None else n_dn

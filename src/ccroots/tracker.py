@@ -44,7 +44,6 @@ class TrackOptions:
     dedupe_radius: float = 1e-6
     real_tol: float = 1e-8
     rng_seed: int = 0
-    workers: int = 1            # accepted for compatibility; tracking is serial
     max_steps: int = 20000
     record_trace: bool = False
 
@@ -91,10 +90,9 @@ class SolutionSet:
             "metadata": self.system.metadata,
             "gamma": [self.gamma.real, self.gamma.imag],
             "seed": self.options.rng_seed,
-            # execution-only knobs (worker count, trace recording) do not
-            # affect the mathematics and are kept out of the artifact
+            # trace recording is an execution knob, kept out of the artifact
             "options": {k: v for k, v in asdict(self.options).items()
-                        if k not in ("workers", "record_trace")},
+                        if k != "record_trace"},
             "degrees": [int(d) for d in self.system.degrees()],
             "bound_used": self.n_paths,
             "n_paths": self.n_paths,
@@ -134,22 +132,22 @@ def _start_values(x, degrees):
     return x ** degrees - 1.0
 
 
-def newton(fun, jac, x, tol: float, max_iters: int):
-    """Newton's method on fun(x) = 0; returns (x, converged, iterations, residual).
+def newton(fun_and_jac, x, tol: float, max_iters: int):
+    """Newton's method on r(x) = 0; returns (x, converged, iterations, residual).
 
-    Converged means max|fun(x)| <= tol * max(1, max|x|); zero iterations are
+    `fun_and_jac(x)` returns (r, J), J = dr/dx, from one evaluation.
+    Converged means max|r(x)| <= tol * max(1, max|x|); zero iterations are
     taken when x already satisfies it.  A singular Jacobian falls back to a
     least-squares step; a non-finite step stops the iteration unconverged.
     """
     x = np.asarray(x, dtype=complex).copy()
     for it in range(max_iters + 1):
-        r = fun(x)
+        r, J = fun_and_jac(x)
         res = float(np.abs(r).max(initial=0.0))
         if res <= tol * max(1.0, float(np.abs(x).max(initial=0.0))):
             return x, True, it, res
         if it == max_iters:
             break
-        J = jac(x)
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -166,15 +164,15 @@ def newton_refine(system: PolynomialSystem, x, tol: float = 1e-12,
 
     Near a multiple root convergence is linear, hence the generous budget.
     """
-    return newton(system.evaluate, system.jacobian, x, tol, max_iters)
+    return newton(system.evaluate_and_jacobian, x, tol, max_iters)
 
 
-def _continue(tangent, h_and_jac, x, s0: float, s1: float, options: TrackOptions,
+def _continue(homotopy, x, s0: float, s1: float, options: TrackOptions,
               clamp=None, on_accept=None, stop_within: float = 0.0):
     """Predictor-corrector continuation of H(x, s) = 0 from s0 toward s1.
 
-    `tangent(x, s)` returns (J, -dH/ds) and `h_and_jac(x, s)` returns (H, J),
-    where J = dH/dx.  A step is an Euler predictor on the Davidenko equation
+    `homotopy(x, s)` returns (H, J, dH/ds), J = dH/dx, from one evaluation.
+    A step is an Euler predictor on the Davidenko equation
     J dx/ds = -dH/ds followed by at most `corrector_max_iters` Newton
     corrections at the new s; it is accepted once a correction falls below
     `corrector_tol`.  The step grows by 1.5 (up to `step_max`) after three
@@ -200,10 +198,10 @@ def _continue(tangent, h_and_jac, x, s0: float, s1: float, options: TrackOptions
         s_next = s - ds if down else min(s + ds, s1)
         ok = False
         try:
-            J, rhs = tangent(x, s)
-            xc = x + np.linalg.solve(J, rhs) * (s_next - s)
+            _, J, dh = homotopy(x, s)
+            xc = x + np.linalg.solve(J, -dh) * (s_next - s)
             for _ in range(options.corrector_max_iters):
-                h, J = h_and_jac(xc, s_next)
+                h, J, _ = homotopy(xc, s_next)
                 delta = np.linalg.solve(J, -h)
                 xc = xc + delta
                 if float(np.abs(delta).max(initial=0.0)) <= options.corrector_tol * max(
@@ -239,21 +237,12 @@ def track_path(system: PolynomialSystem, degrees: np.ndarray, path_index: int,
     diag = np.arange(0, x.size ** 2, x.size + 1)    # flat indices of J's diagonal
     lowered = degrees - 1
 
-    def parts(xv, lv):
+    def homotopy(xv, lv):
         f, J = system.evaluate_and_jacobian(xv)
         g = _start_values(xv, degrees)
         J = (1.0 - lv) * J
         J.flat[diag] += gamma * lv * (degrees * xv ** lowered)
-        return f, g, J
-
-    def tangent(xv, lv):
-        f, g, J = parts(xv, lv)
-        # J dx/dlam = -(dH/dlam) = f - gamma*g
-        return J, f - gamma * g
-
-    def h_and_jac(xv, lv):
-        f, g, J = parts(xv, lv)
-        return (1.0 - lv) * f + gamma * lv * g, J
+        return (1.0 - lv) * f + gamma * lv * g, J, gamma * g - f
 
     def clamp(lam, dlam):
         if lam <= options.endgame_start:
@@ -273,7 +262,7 @@ def track_path(system: PolynomialSystem, degrees: np.ndarray, path_index: int,
         if norm_at_endgame is None and lam <= options.endgame_start:
             norm_at_endgame = float(np.abs(xv).max())
 
-    outcome, x, lam, n_steps = _continue(tangent, h_and_jac, x, 1.0, 0.0, options,
+    outcome, x, lam, n_steps = _continue(homotopy, x, 1.0, 0.0, options,
                                          clamp, on_accept, options.endpoint_lambda)
     # paths escaping to infinity grow like a (possibly small) negative power
     # of lam, so a hard norm threshold alone cannot classify them; sustained
@@ -320,9 +309,10 @@ def solve_all(system: PolynomialSystem, options: TrackOptions | None = None) -> 
     path is accounted for: converged endpoints are deduplicated within
     `dedupe_radius` (max norm); non-representative members of a cluster are
     relabelled "clustered" and counted in the representative's multiplicity.
-    Paths are tracked serially, so results are deterministic for a fixed
-    seed; `workers` is accepted for compatibility and has no effect.
+    Paths are tracked serially, so results are deterministic for a fixed seed.
     """
+    if system.n_vars == 0:
+        raise ValueError("system has no variables")
     options = options or TrackOptions()
     degrees = np.array(system.degrees(), dtype=np.int64)
     if system.n_eqs != system.n_vars:

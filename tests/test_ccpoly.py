@@ -286,6 +286,9 @@ def test_signed_map_matches_excitation_matrices(model):
     assert abs(T - reference).max() == 0
     assert T.nnz == np.count_nonzero(T.data)
     assert T.nnz == sum(x.nnz for tk, x in zip(t, mats) if tk != 0)
+    # the fused residual-and-Jacobian pass gives both maps bit for bit
+    r, J = ws.residuals_and_jacobian(t)
+    assert np.array_equal(r, ws.residuals(t)) and np.array_equal(J, ws.jacobian(t))
 
 
 def test_pair_phase_fails_loudly_on_annihilation():
@@ -426,6 +429,13 @@ def test_json_roundtrip_and_determinism():
 def test_json_exponent_must_be_a_non_negative_whole_number(exponent):
     with pytest.raises(ValueError, match="exponent"):
         poly_from_json_terms([[1.0, 0.0, {"x": exponent}]], ["x"])
+
+
+@pytest.mark.parametrize("re_c, im_c", [(float("nan"), 0.0), (1.0, float("inf")),
+                                         (float("-inf"), 0.0)])
+def test_json_coefficient_must_be_finite(re_c, im_c):
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        poly_from_json_terms([[re_c, im_c, {"x": 1}], [1.0, 0.0, {}]], ["x"])
 
 
 def test_json_whole_float_exponent_is_accepted():

@@ -43,12 +43,10 @@ PAIRING_E_FULL = 1.8498518351360727
 PAIRING_DELTA_E = -0.0005906742272834276
 
 
-def run(*args, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "CCROOTS_THREADS"}
+def run(*args):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "ccroots.cli"] + [str(a) for a in args],
         capture_output=True, text=True, env=env)
@@ -179,6 +177,33 @@ def test_model_duplicate_reference_orbital_rejected(tmp_path):
     assert "distinct" in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--hubbard", "3,1,nan", "--nelec", "1,1"],
+    ["--hubbard", "2,inf,4", "--nelec", "1,1"],
+    ["--pairing", "2,1.0,nan,1"],
+], ids=["hubbard-u-nan", "hubbard-t-inf", "pairing-g-nan"])
+def test_model_non_finite_parameter_rejected(tmp_path, args):
+    # NaN terms used to be pruned silently from the generated system, so
+    # `solve` then reported roots of a different system with exit 0
+    r = run("model", *args, "-o", tmp_path / "m.json")
+    assert r.returncode == 2
+    assert "not finite" in r.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["system", "kp", "verify"])
+def test_model_file_with_non_finite_integral_is_malformed(work, tmp_path, command):
+    data = read_json(work / "dimer.json")
+    data["h1"][0][2] = float("inf")          # json writes the literal Infinity
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    args = {"system": ["--rank", "full"], "kp": ["--rho", "2"],
+            "verify": ["--solutions", work / "dimer_sol.json"]}[command]
+    r = run(command, "--model", tmp_path / "m.json", *args, "-o", tmp_path / "out")
+    assert r.returncode == 2
+    assert "is malformed" in r.stderr and "h1 entry" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # --- system ---------------------------------------------------------------------
 
 
@@ -281,20 +306,7 @@ def test_solve_worker_count_does_not_change_output(work, tmp_path):
     r = run("solve", "--system", work / "dimer_sys.json", "--workers", "3",
             "-o", tmp_path / "flag.json")
     assert r.returncode == 0, r.stderr
-    r = run("solve", "--system", work / "dimer_sys.json",
-            "-o", tmp_path / "env.json",
-            env_extra={"CCROOTS_THREADS": "2"})
-    assert r.returncode == 0, r.stderr
     assert read_bytes(tmp_path / "flag.json") == read_bytes(work / "dimer_sol.json")
-    assert read_bytes(tmp_path / "env.json") == read_bytes(work / "dimer_sol.json")
-
-
-def test_solve_env_thread_count_must_be_integer(work, tmp_path):
-    r = run("solve", "--system", work / "dimer_sys.json",
-            "-o", tmp_path / "sol.json",
-            env_extra={"CCROOTS_THREADS": "three"})
-    assert r.returncode == 2
-    assert "CCROOTS_THREADS" in r.stderr
 
 
 def test_solve_trace_dir_writes_one_csv_per_path(work, tmp_path):
@@ -387,6 +399,32 @@ def test_solve_system_file_bad_exponent_is_malformed(tmp_path, exponent):
     assert not (tmp_path / "sol.json").exists()
 
 
+@pytest.mark.parametrize("equation, energy", [
+    ([[float("nan"), 0.0, {"x": 2}], [-4.0, 0.0, {}]], None),
+    ([[1.0, 0.0, {"x": 2}], [-4.0, float("inf"), {}]], None),
+    ([[1.0, 0.0, {"x": 2}], [-4.0, 0.0, {}]], [[float("-inf"), 0.0, {"x": 1}]]),
+], ids=["nan", "inf", "energy-inf"])
+def test_solve_non_finite_coefficient_is_malformed(tmp_path, equation, energy):
+    # a NaN coefficient used to be tracked through every path, exit 4
+    data = {"variables": ["x"], "equations": [equation]}
+    if energy is not None:
+        data["metadata"] = {"energy": energy}
+    (tmp_path / "sys.json").write_text(json.dumps(data))
+    r = run("solve", "--system", tmp_path / "sys.json", "-o", tmp_path / "sol.json")
+    assert r.returncode == 2
+    assert "is malformed" in r.stderr and "non-finite coefficient" in r.stderr
+    assert not (tmp_path / "sol.json").exists()
+
+
+def test_solve_empty_system_is_malformed(tmp_path):
+    (tmp_path / "sys.json").write_text(json.dumps({"variables": [], "equations": []}))
+    r = run("solve", "--system", tmp_path / "sys.json", "-o", tmp_path / "sol.json")
+    assert r.returncode == 2
+    assert "system has no variables" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "sol.json").exists()
+
+
 def test_solve_unknown_energy_variable_is_malformed(tmp_path):
     # the energy is decoded before any path is tracked, so the run fails fast
     # with a usage error instead of a traceback after the tracking
@@ -407,6 +445,16 @@ def test_solve_seed_must_be_non_negative(work, tmp_path):
     assert r.returncode == 2
     assert "--seed must be a non-negative integer" in r.stderr
     assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "kp"])
+def test_workers_below_one_is_usage_error(work, tmp_path, command):
+    # --workers is ignored, but it is still validated
+    args = {"solve": ["--system", work / "dimer_sys.json"],
+            "kp": ["--model", work / "pairing42.json", "--rho", "2"]}[command]
+    r = run(command, *args, "--workers", "0", "-o", tmp_path / "out")
+    assert r.returncode == 2
+    assert "worker count must be >= 1" in r.stderr
 
 
 # --- kp -------------------------------------------------------------------------

@@ -102,3 +102,15 @@ def test_out_of_range_orbital(tmp_path):
     with pytest.raises(Exception) as err:
         load_integrals(path)
     assert "range.ints" in str(err.value)
+
+
+@pytest.mark.parametrize("body", [
+    "norb=2 nup=1 ndn=1 core=0\nnan 1 2 0 0\n",
+    "norb=2 nup=1 ndn=1 core=inf\n1.0 1 2 0 0\n",
+], ids=["entry-nan", "core-inf"])
+def test_non_finite_integral_rejected_with_path(tmp_path, body):
+    path = tmp_path / "nan.ints"
+    path.write_text(body)
+    with pytest.raises(ValueError, match="not finite") as err:
+        load_integrals(path)
+    assert "nan.ints" in str(err.value)

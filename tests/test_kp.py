@@ -21,9 +21,11 @@ import io
 import numpy as np
 import pytest
 
+from ccroots import cli
 from ccroots.kp import (
     EnergyErrorBundle,
     KPState,
+    _map,
     energy_error_bundle,
     kp_dlam,
     kp_jacobian,
@@ -354,3 +356,30 @@ def test_trajectory_csv_layout():
     assert float(rows[1][0]) == 0.0
     assert float(rows[-1][0]) == 1.0
     assert complex(rows[-1][-1]).real == pytest.approx(PAIRING_E_FULL, abs=1e-9)
+
+
+# --- the kp and Workspace contract that bench/layers.py measures ----------------------
+
+def test_kp_maps_and_workspace_keep_their_call_forms(tmp_path):
+    prob = pairing_problem()
+    K, dim = len(prob.graph), prob.ws.dim
+    rng = np.random.default_rng(23)
+    t = 0.3 * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
+    lam = 0.37
+    state = KPState(prob.amplitude_split, t[list(prob.low)], t[list(prob.high)], lam)
+    r, J, dlam = kp_residual(prob, state), kp_jacobian(prob, state), kp_dlam(prob, state)
+    assert r.shape == dlam.shape == (K,) and J.shape == (K, K)
+    # the value-only route and the fused map agree bit for bit
+    H, J_map, dlam_map = _map(prob, t, lam)
+    assert np.array_equal(r, H) and np.array_equal(J, J_map)
+    assert np.array_equal(dlam, dlam_map)
+
+    ws = prob.ws
+    assert ws.t_operator(t).shape == (dim, dim)
+    assert ws.residuals(t).shape == (K,) and ws.jacobian(t).shape == (K, K)
+    assert ws.residual_vector(t, path="expm").shape == (dim,)
+
+    model = str(tmp_path / "pairing.json")
+    assert cli.main(["model", "--pairing", "4,1.0,0.33,2", "-o", model]) == 0
+    assert cli.main(["kp", "--model", model, "--rho", "2", "--workers", "1",
+                     "-o", str(tmp_path / "run")]) == 0

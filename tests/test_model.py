@@ -6,6 +6,7 @@ with obvious spectra (g = 0 pairing, t = 0 Hubbard).
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,19 @@ def test_integral_table_conflict_detection():
             2, [], [(0, 1, 0, 1, 0.3), (1, 0, 1, 0, 0.4)])
     # exact restatements are tolerated
     IntegralTable.from_entries(2, [(0, 1, 0.5), (1, 0, 0.5)], [])
+
+
+@pytest.mark.parametrize("h1, h2, core, entry", [
+    ([(0, 1, float("nan"))], [], 0.0, "h1 entry (0,1)"),
+    ([(0, 0, float("inf"))], [], 0.0, "h1 entry (0,0)"),
+    ([], [(0, 1, 0, 1, float("-inf"))], 0.0, "h2 entry (0, 1, 0, 1)"),
+    ([], [], float("nan"), "core energy"),
+], ids=["h1-nan", "h1-inf", "h2-ninf", "core-nan"])
+def test_integral_table_rejects_non_finite_values(h1, h2, core, entry):
+    # a NaN used to slip past the symmetry check (every comparison is False)
+    # and reach the Hamiltonian and the generated polynomials
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        IntegralTable.from_entries(2, h1, h2, core)
 
 
 def test_dimer_hamiltonian_matches_hand_matrix():

@@ -73,14 +73,30 @@ def test_start_roots_mixed_radix():
     np.testing.assert_allclose(roots[0], [1.0, 1.0], atol=1e-15)
 
 
-def test_newton_refine_basics():
+def counting(monkeypatch, obj, names):
+    """Replace obj's named callables by wrappers that log each call's name."""
+    calls = []
+    for name in names:
+        def wrapped(*args, _fn=getattr(obj, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(obj, name, wrapped)
+    return calls
+
+
+def test_newton_refine_basics(monkeypatch):
     sys_ = scalar_system({2: 1.0, 0: -2.0})          # z^2 - 2
+    calls = counting(monkeypatch, sys_, ["evaluate", "jacobian", "evaluate_and_jacobian"])
     x, ok, iters, res = newton_refine(sys_, [np.sqrt(2.0)])
     assert ok and iters == 0
+    assert calls == ["evaluate_and_jacobian"]
+    calls.clear()
     x, ok, iters, res = newton_refine(sys_, [1.3])
     assert ok
     assert x[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert res < 1e-12
+    # one fused evaluation per iteration plus the final convergence test
+    assert iters > 0 and calls == ["evaluate_and_jacobian"] * (iters + 1)
 
 
 # --- scalar homotopies ----------------------------------------------------------
@@ -197,7 +213,7 @@ def test_multistart_newton_finds_nothing_extra():
 def test_newton_singular_jacobian_takes_least_squares_step():
     # x^2 - 2 from x = 0: the Jacobian 2x vanishes, the least-squares step is
     # zero, and the budget runs out at the start point
-    x, ok, iters, res = newton(lambda x: x ** 2 - 2.0, lambda x: np.diag(2.0 * x),
+    x, ok, iters, res = newton(lambda x: (x ** 2 - 2.0, np.diag(2.0 * x)),
                                [0.0], 1e-12, 5)
     assert not ok and iters == 5
     assert x[0] == 0.0 and res == 2.0
@@ -205,31 +221,33 @@ def test_newton_singular_jacobian_takes_least_squares_step():
 
 def test_newton_stops_on_non_finite_step():
     # a subnormal Jacobian overflows the step to infinity
-    x, ok, iters, res = newton(lambda x: x ** 2 - 2.0, lambda x: np.array([[1e-310]]),
+    x, ok, iters, res = newton(lambda x: (x ** 2 - 2.0, np.array([[1e-310]])),
                                [0.0], 1e-12, 5)
     assert not ok and iters == 0
     assert x[0] == 0.0 and res == 2.0
 
 
-def _sqrt_homotopy():
-    # H(x, s) = x^2 - (1 + s): J = 2x and -dH/ds = 1
-    def tangent(x, s):
-        return np.diag(2.0 * x), np.ones(1, dtype=complex)
-
-    def h_and_jac(x, s):
-        return x ** 2 - (1.0 + s), np.diag(2.0 * x)
-
-    return tangent, h_and_jac
+def _sqrt_homotopy(x, s):
+    # H(x, s) = x^2 - (1 + s): J = 2x and dH/ds = -1
+    return x ** 2 - (1.0 + s), np.diag(2.0 * x), -np.ones(1, dtype=complex)
 
 
 @pytest.mark.parametrize("s0, s1, x0, want", [(0.0, 1.0, 1.0, SQRT2),
                                               (1.0, 0.0, SQRT2, 1.0)])
-def test_continue_both_directions(s0, s1, x0, want):
-    tangent, h_and_jac = _sqrt_homotopy()
+def test_continue_both_directions(monkeypatch, s0, s1, x0, want):
     accepted = []
+    solves = counting(monkeypatch, np.linalg, ["solve"])
+    homotopy_calls = []
+
+    def homotopy(x, s):
+        homotopy_calls.append(s)
+        return _sqrt_homotopy(x, s)
+
     outcome, x, s, steps = _continue(
-        tangent, h_and_jac, np.array([x0], dtype=complex), s0, s1, TrackOptions(),
+        homotopy, np.array([x0], dtype=complex), s0, s1, TrackOptions(),
         on_accept=lambda s, x: accepted.append(s))
+    # one homotopy call per linear solve: the predictor and each corrector iteration
+    assert len(homotopy_calls) == len(solves) >= 2 * steps
     assert outcome == "reached" and s == s1
     assert x[0] == pytest.approx(want, abs=1e-10)
     sign = 1.0 if s1 > s0 else -1.0
@@ -238,13 +256,12 @@ def test_continue_both_directions(s0, s1, x0, want):
 
 
 def test_continue_step_budget_and_clamp():
-    tangent, h_and_jac = _sqrt_homotopy()
     x0 = np.array([1.0], dtype=complex)
-    outcome, _, s, steps = _continue(tangent, h_and_jac, x0, 0.0, 1.0,
+    outcome, _, s, steps = _continue(_sqrt_homotopy, x0, 0.0, 1.0,
                                      TrackOptions(max_steps=3))
     assert outcome == "max_steps" and steps == 4 and 0.0 < s < 1.0
     accepted = []
-    outcome, _, _, _ = _continue(tangent, h_and_jac, x0, 0.0, 1.0, TrackOptions(),
+    outcome, _, _, _ = _continue(_sqrt_homotopy, x0, 0.0, 1.0, TrackOptions(),
                                  clamp=lambda s, ds: min(ds, 0.01),
                                  on_accept=lambda s, x: accepted.append(s))
     assert outcome == "reached" and len(accepted) >= 100
@@ -253,14 +270,14 @@ def test_continue_step_budget_and_clamp():
 
 def test_bitwise_determinism_and_worker_independence():
     sys_ = dimer_system()
-    a = solve_all(sys_, TrackOptions(rng_seed=42, workers=1))
-    b = solve_all(sys_, TrackOptions(rng_seed=42, workers=1))
-    c = solve_all(sys_, TrackOptions(rng_seed=42, workers=3))
+    a = solve_all(sys_, TrackOptions(rng_seed=42))
+    b = solve_all(sys_, TrackOptions(rng_seed=42))
+    c = solve_all(sys_, TrackOptions(rng_seed=42))
     text_a = json.dumps(a.to_dict(), sort_keys=True)
     assert text_a == json.dumps(b.to_dict(), sort_keys=True)
     assert text_a == json.dumps(c.to_dict(), sort_keys=True)
-    # worker count is an execution knob, not part of the artifact
-    d = solve_all(sys_, TrackOptions(rng_seed=42, workers=3, record_trace=True))
+    # trace recording is an execution knob, not part of the artifact
+    d = solve_all(sys_, TrackOptions(rng_seed=42, record_trace=True))
     assert text_a == json.dumps(d.to_dict(), sort_keys=True)
 
 

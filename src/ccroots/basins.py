@@ -20,6 +20,7 @@ from .ccpoly import PolynomialSystem
 _DEFAULT_MAX_ITERS = 64
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MATCH_RADIUS = 1e-6
+_MAX_PIXELS = 2048 * 2048        # bounds the per-pixel arrays a scan allocates
 
 # color palette for root indices (cycled); brightness encodes iteration count
 _PALETTE = [
@@ -34,6 +35,10 @@ _PALETTE = [
 
 class PolynomialParseError(ValueError):
     """Raised with the offending token and position for bad polynomial text."""
+
+
+class PixelBudgetError(ValueError):
+    """Scan resolution exceeds the pixel budget."""
 
 
 _TOKEN_RE = re.compile(r"""
@@ -165,27 +170,30 @@ class BasinGrid:
 def _grid(window, resolution, roots, max_iters, label) -> BasinGrid:
     """An empty grid; `resolution` is pixels per side or (nx, ny)."""
     nx, ny = (resolution,) * 2 if isinstance(resolution, int) else map(int, resolution)
+    if nx * ny > _MAX_PIXELS:
+        raise PixelBudgetError(f"{nx}x{ny} pixels exceed the scan budget {_MAX_PIXELS}")
     return BasinGrid(tuple(window), nx, ny, None, None,
                      list(map(complex, roots or [])), max_iters, label)
 
 
 def _registry_assign(z_final, converged, roots, match_radius):
-    """Row-major scan: match converged endpoints against the registry,
-    appending unseen roots, so indices do not depend on worker scheduling."""
-    ny, nx = z_final.shape
-    idx = np.full((ny, nx), -1, dtype=np.int32)
-    for r in range(ny):
-        for c in range(nx):
-            if not converged[r, c]:
-                continue
-            z = z_final[r, c]
-            for k, root in enumerate(roots):
-                if abs(z - root) < match_radius:
-                    idx[r, c] = k
-                    break
-            else:
-                roots.append(complex(z))
-                idx[r, c] = len(roots) - 1
+    """Give each converged endpoint the first registry root within
+    `match_radius`; the first unclaimed endpoint in row-major order is
+    appended as the next root, so indices follow row-major order."""
+    idx = np.full(z_final.shape, -1, dtype=np.int32)
+    flat = idx.reshape(-1)
+    pos = np.flatnonzero(converged)
+    zc = z_final.reshape(-1)[pos]
+    k = 0
+    while pos.size:
+        new = k == len(roots)
+        if new:
+            roots.append(complex(zc[0]))
+        hit = np.abs(zc - roots[k]) < match_radius
+        hit[0] |= new                   # a NaN endpoint still claims its own root
+        flat[pos[hit]] = k
+        pos, zc = pos[~hit], zc[~hit]
+        k += 1
     return idx
 
 
@@ -196,30 +204,29 @@ def _scan(grid: BasinGrid, newton_step, tol: float, match_radius: float) -> Basi
     corrections; a non-finite correction freezes the point unconverged.
     """
     max_iters = grid.max_iters
-    z = grid.pixel_centers().copy()
-    iters = np.zeros((grid.ny, grid.nx), dtype=np.int32)
-    active = np.ones((grid.ny, grid.nx), dtype=bool)
+    z = grid.pixel_centers().reshape(-1)
+    iters = np.full(z.size, max_iters, dtype=np.int32)
+    pos = np.arange(z.size, dtype=np.int32)         # still-active pixels
     for it in range(max_iters):
-        if not active.any():
+        if not pos.size:
             break
-        za = z[active]
+        za = z[pos]
         dz = newton_step(za)
         bad = ~np.isfinite(dz)
         dz[bad] = 0.0
-        za = za - dz
-        z[active] = za
+        za -= dz
+        z[pos] = za
         done = (np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))) & ~bad
-        iters_active = iters[active]
-        iters_active[done] = it + 1
-        iters[active] = iters_active
-        mask = active.copy()
-        sub = active[mask]
-        sub[done] = False
-        active[mask] = sub
-    converged = ~active & np.isfinite(z)
+        del dz, za                      # freed before compacting: lowers the peak
+        iters[pos[done]] = it + 1
+        pos = pos[~done]
+    converged = np.isfinite(z)
+    converged[pos] = False
     iters[~converged] = max_iters
-    grid.root_index = _registry_assign(z, converged, grid.roots, match_radius)
-    grid.iterations = iters
+    shape = (grid.ny, grid.nx)
+    grid.root_index = _registry_assign(z.reshape(shape), converged.reshape(shape),
+                                       grid.roots, match_radius)
+    grid.iterations = iters.reshape(shape)
     return grid
 
 
@@ -231,6 +238,8 @@ def basin_scan(poly, window, resolution, roots=None,
     coeffs = np.asarray(poly, dtype=complex)
     if coeffs.ndim != 1 or len(coeffs := np.trim_zeros(coeffs, "b")) < 2:
         raise ValueError("need a univariate polynomial of degree >= 1")
+    if not np.isfinite(coeffs).all():
+        raise ValueError("polynomial coefficients must be finite")
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     desc = coeffs[::-1]
     ddesc = dcoeffs[::-1]
@@ -257,6 +266,8 @@ def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
     direction = np.asarray(direction, dtype=complex)
     if base.shape != (system.n_vars,) or direction.shape != (system.n_vars,):
         raise ValueError("base and direction must have one entry per variable")
+    if not (np.isfinite(base).all() and np.isfinite(direction).all()):
+        raise ValueError("base and direction must be finite")
     nrm2 = np.vdot(direction, direction)
     if abs(nrm2) == 0:
         raise ValueError("direction must be nonzero")

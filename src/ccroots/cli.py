@@ -27,7 +27,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .basins import PolynomialParseError, basin_scan, parse_univariate, render_ppm, slice_scan
+from .basins import (PixelBudgetError, PolynomialParseError, basin_scan, parse_univariate,
+                     render_ppm, slice_scan)
 from .ccpoly import PolynomialSystem, cc_system_for_rank, quadratize
 from .excitations import full_rank
 from .kp import (
@@ -422,6 +423,8 @@ def cmd_fractal(args, argv) -> int:
                               max_iters=args.max_iters, label=args.slice)
     except PolynomialParseError as exc:
         raise CliError(f"cannot parse polynomial: {exc}") from exc
+    except PixelBudgetError as exc:
+        raise CliError(str(exc), EXIT_CAPABILITY) from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

@@ -1,8 +1,9 @@
 """Newton basin scans: parser, grid semantics, registry, P6 rendering.
 
 Oracles: exact root locations (roots of unity, a factored quadratic on the
-dimer slice), and a deliberately naive per-pixel scalar Newton loop that the
-vectorized scan must reproduce pixel for pixel.
+dimer slice), and deliberately naive per-pixel loops, for the scalar Newton
+iteration and for the root registry, that the vectorized scan must
+reproduce pixel for pixel.
 """
 
 import numpy as np
@@ -10,7 +11,11 @@ import pytest
 
 from ccroots.basins import (
     BasinGrid,
+    PixelBudgetError,
     PolynomialParseError,
+    _grid,
+    _registry_assign,
+    _scan,
     basin_scan,
     parse_univariate,
     render_ppm,
@@ -170,20 +175,107 @@ def naive_scan(coeffs, window, n, max_iters=64, tol=1e-12):
     return final, iters, conv
 
 
-def test_vectorized_scan_matches_naive_oracle():
-    coeffs = [-1.0, 0.0, 1.0]                     # z^2 - 1
-    window = (-1.6, 1.6, -1.2, 1.2)
-    grid = basin_scan(coeffs, window, 11)
-    final, iters, conv = naive_scan(coeffs, window, 11)
+def naive_registry_assign(z_final, converged, roots, match_radius):
+    """Row-major scan, one pixel at a time: the first registry root within
+    reach wins, and an endpoint no root claims is appended as a new root."""
+    ny, nx = z_final.shape
+    idx = np.full((ny, nx), -1, dtype=np.int32)
+    for r in range(ny):
+        for c in range(nx):
+            if not converged[r, c]:
+                continue
+            z = z_final[r, c]
+            for k, root in enumerate(roots):
+                if abs(z - root) < match_radius:
+                    idx[r, c] = k
+                    break
+            else:
+                roots.append(complex(z))
+                idx[r, c] = len(roots) - 1
+    return idx
+
+
+def assert_registry_matches_naive(z_final, converged, seeds, match_radius):
+    roots, want_roots = list(seeds), list(seeds)
+    idx = _registry_assign(z_final, converged, roots, match_radius)
+    want = naive_registry_assign(z_final, converged, want_roots, match_radius)
+    assert idx.dtype == np.int32
+    np.testing.assert_array_equal(idx, want)
+    np.testing.assert_array_equal(roots, want_roots)     # NaN == NaN here
+    return idx, roots
+
+
+def test_registry_without_converged_pixels():
+    z = np.ones((3, 4), dtype=complex)
+    idx, roots = assert_registry_matches_naive(z, np.zeros((3, 4), bool), [2j], 1e-6)
+    assert (idx == -1).all()
+    assert roots == [2j]
+
+
+def test_registry_nan_endpoints_each_register():
+    # a NaN endpoint matches no root, itself included, so each one is new
+    z = np.array([[1.0, np.nan, 1.0], [np.nan, 1.0 + 1e-9, -1.0]], dtype=complex)
+    idx, roots = assert_registry_matches_naive(z, np.ones(z.shape, bool), [], 1e-6)
+    np.testing.assert_array_equal(idx, [[0, 1, 0], [2, 0, 3]])
+    assert len(roots) == 4
+
+
+def test_registry_overlapping_seeds_first_wins():
+    # 0.5 lies within reach of both seeds; the earlier seed must claim it
+    seeds = [0.0, 1.0]
+    z = np.array([[0.5, 0.9, 0.1, 3.0, 3.2, 0.5]], dtype=complex)
+    conv = np.array([[True, True, True, True, True, False]])
+    idx, roots = assert_registry_matches_naive(z, conv, seeds, 0.6)
+    np.testing.assert_array_equal(idx, [[0, 1, 0, 2, 2, -1]])
+    assert roots == [0.0, 1.0, 3.0]
+
+
+def test_registry_matches_naive_on_random_grid():
+    # endpoints on a 0.1 lattice, each within reach of its four neighbours,
+    # so the claiming order decides most pixels
+    rng = np.random.default_rng(7)
+    z = np.round(rng.normal(size=(60, 70)) + 1j * rng.normal(size=(60, 70)), 1)
+    conv = rng.random((60, 70)) < 0.8
+    _idx, roots = assert_registry_matches_naive(z, conv, [0.0, 0.1 + 0.1j], 0.12)
+    assert len(roots) > 300
+
+
+def assert_scan_matches_naive(coeffs, window, n, seeds):
+    grid = basin_scan(coeffs, window, n, roots=seeds)
+    final, iters, conv = naive_scan(coeffs, window, n)
     np.testing.assert_array_equal(grid.iterations, iters)
     np.testing.assert_array_equal(grid.root_index >= 0, conv)
-    for r in range(11):
-        for c in range(11):
-            if conv[r, c]:
-                assert abs(grid.roots[grid.root_index[r, c]] - final[r, c]) < 1e-6
+    want_roots = list(map(complex, seeds))
+    want = naive_registry_assign(final, conv, want_roots, 1e-6)
+    np.testing.assert_array_equal(grid.root_index, want)
+    assert grid.roots == want_roots
+    return grid
+
+
+def test_vectorized_scan_matches_naive_oracle():
+    grid = assert_scan_matches_naive([-1.0, 0.0, 1.0],            # z^2 - 1
+                                     (-1.6, 1.6, -1.2, 1.2), 11, [])
     # the centre pixel sits exactly on the critical point and never converges
     assert grid.root_index[5, 5] == -1
     assert grid.iterations[5, 5] == 64
+    # z^3 - 1 with two roots pre-seeded: the third is appended after them
+    grid = assert_scan_matches_naive([-1.0, 0.0, 0.0, 1.0],
+                                     (-1.5, 1.5, -1.5, 1.5), 23, CUBE_ROOTS[1:])
+    assert len(grid.roots) == 3 and abs(grid.roots[2] - CUBE_ROOTS[0]) < 1e-12
+
+
+def test_unconverged_pixels_report_max_iters():
+    # centers -2, 0, 2: a NaN step freezes the left pixel, the middle one
+    # converges at once, and the right one passes the step test on an
+    # endpoint that overflowed to infinity
+    def newton_step(za):
+        return np.where(za.real < -1, np.nan, np.where(za.real > 1, -1.7e308, 0.0))
+
+    with np.errstate(over="ignore"):
+        grid = _scan(_grid((-3, 3, -1, 1), (3, 1), None, 5, ""), newton_step, 1e-12, 1e-6)
+    np.testing.assert_array_equal(grid.root_index, [[-1, 0, -1]])
+    np.testing.assert_array_equal(grid.iterations, [[5, 1, 5]])
+    assert grid.roots == [0j]
 
 
 # --- multivariate slice --------------------------------------------------------------
@@ -209,6 +301,21 @@ def test_slice_scan_validates_shapes():
     with pytest.raises(ValueError):
         slice_scan(sys_, base=np.zeros(3), direction=np.zeros(3),
                    window=(-1, 1, -1, 1), resolution=4)
+    for base, direction in [([0, np.nan, 0], [1, 1, 1]), ([0, 0, 0], [1, np.inf, 1])]:
+        with pytest.raises(ValueError, match="finite"):
+            slice_scan(sys_, base=np.array(base, float), direction=np.array(direction, float),
+                       window=(-1, 1, -1, 1), resolution=4)
+
+
+def test_non_finite_coefficient_rejected_by_scan():
+    for bad in (np.inf, np.nan, complex(0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            basin_scan([-1.0, 0.0, bad], (-1, 1, -1, 1), 4)
+
+
+def test_pixel_budget_rejected_by_scan():
+    with pytest.raises(PixelBudgetError, match="budget"):
+        basin_scan([-1.0, 0.0, 1.0], (-1, 1, -1, 1), 2049)
 
 
 # --- PPM rendering ----------------------------------------------------------------

@@ -685,6 +685,27 @@ def test_fractal_vanishing_top_coefficient_is_not_a_degree(tmp_path):
     assert not (tmp_path / "a.ppm").exists()
 
 
+@pytest.mark.parametrize("source", [["--poly", "1e999*z^2-1"],
+                                    ["--slice=nan,1,1"],
+                                    ["--slice=1,1,1|0,inf,0"]])
+def test_fractal_rejects_non_finite_inputs(work, tmp_path, source):
+    if source[0] != "--poly":
+        source = ["--system", work / "dimer_sys.json"] + source
+    r = run("fractal", *source, "--res", "4", "-o", tmp_path / "a.ppm")
+    assert r.returncode == 2
+    assert "finite" in r.stderr
+    assert "Warning" not in r.stderr
+    assert not (tmp_path / "a.ppm").exists()
+
+
+def test_fractal_pixel_budget_is_a_capability_error(tmp_path):
+    # rejected before any per-pixel array is allocated
+    r = run("fractal", "--poly", "z^2-1", "--res", "2049", "-o", tmp_path / "a.ppm")
+    assert r.returncode == 3
+    assert "budget" in r.stderr
+    assert not (tmp_path / "a.ppm").exists()
+
+
 # --- verify ---------------------------------------------------------------------
 
 

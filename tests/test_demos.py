@@ -1,9 +1,7 @@
 """The demo scripts run to completion from a clean working directory.
 
 Each demo is a subprocess in a fresh temporary cwd, with the package that
-these tests import put on its PYTHONPATH.  ``newton_fractal.py`` is left out:
-it takes about ten seconds and only exercises the basin scans, which
-``test_basins`` covers directly.
+these tests import put on its PYTHONPATH.
 """
 
 import os
@@ -21,7 +19,8 @@ PACKAGE_ROOT = Path(ccroots.__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script", ["truncation_homotopy_pairing.py",
                                     "all_roots_dimer.py",
-                                    "quadratic_lift_bounds.py"])
+                                    "quadratic_lift_bounds.py",
+                                    "newton_fractal.py"])
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

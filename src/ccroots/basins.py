@@ -211,12 +211,13 @@ def _scan(grid: BasinGrid, newton_step, tol: float, match_radius: float) -> Basi
         if not pos.size:
             break
         za = z[pos]
-        dz = newton_step(za)
-        bad = ~np.isfinite(dz)
-        dz[bad] = 0.0
-        za -= dz
+        with np.errstate(all="ignore"):     # overflow is caught as non-finite
+            dz = newton_step(za)
+            bad = ~np.isfinite(dz)
+            dz[bad] = 0.0
+            za -= dz
+            done = (np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))) & ~bad
         z[pos] = za
-        done = (np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))) & ~bad
         del dz, za                      # freed before compacting: lowers the peak
         iters[pos[done]] = it + 1
         pos = pos[~done]
@@ -246,8 +247,7 @@ def basin_scan(poly, window, resolution, roots=None,
     grid = _grid(window, resolution, roots, max_iters, label)
 
     def newton_step(za):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.polyval(desc, za) / np.polyval(ddesc, za)
+        return np.polyval(desc, za) / np.polyval(ddesc, za)
 
     return _scan(grid, newton_step, tol, match_radius)
 
@@ -278,8 +278,7 @@ def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
         f, J = system.evaluate_and_jacobian(x)
         g = (f @ direction.conj()) / nrm2
         dg = ((J @ direction) @ direction.conj()) / nrm2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return g / dg
+        return g / dg
 
     return _scan(grid, newton_step, tol, match_radius)
 

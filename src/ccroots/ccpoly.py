@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .excitations import ExcitationGraph, build_graph, excitation_matrix
+from .excitations import ExcitationGraph, build_graph, excitation_entries
 from .model import ModelSpec, assemble_hamiltonian, enumerate_determinants
 
 _BCH_ORDER = 4          # nested commutators of a two-body H vanish past this
@@ -218,12 +218,12 @@ class Workspace:
         self.index = {d: i for i, d in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.ref_idx = self.index[model.reference]
-        self.H = assemble_hamiltonian(model, self.basis).csr()
+        self.H = assemble_hamiltonian(model, self.basis)
         self.x_dst = np.full((len(graph), self.dim), self.dim, dtype=np.intp)
         self.x_phase = np.zeros((len(graph), self.dim))
         for k, mu in enumerate(graph.indices):
-            for (row, col), v in excitation_matrix(graph, mu, self.basis).entries.items():
-                self.x_dst[k, col], self.x_phase[k, col] = row, v.real
+            rows, cols, phases = excitation_entries(graph, mu, self.basis, self.index)
+            self.x_dst[k, cols], self.x_phase[k, cols] = rows, phases
         self.target_idx = np.array([self.index[mu.target(model.reference)]
                                     for mu in graph.indices])
         self.n_elec = model.n_elec

@@ -171,6 +171,14 @@ def _load_model(path: str) -> ModelSpec:
         raise CliError(f"model file {path!r} is malformed: {exc}") from exc
 
 
+def _load_system(path: str) -> PolynomialSystem:
+    text = _read_text(path, "system file")
+    try:
+        return PolynomialSystem.from_json(text)
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        raise CliError(f"system file {path!r} is malformed: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -259,12 +267,7 @@ def cmd_system(args, argv) -> int:
 
 def cmd_solve(args, argv) -> int:
     _check_seed_and_workers(args)
-    text = _read_text(args.system, "system file")
-    try:
-        system = PolynomialSystem.from_json(text)
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"system file {args.system!r} is malformed: {exc}") from exc
-
+    system = _load_system(args.system)
     options = TrackOptions(rng_seed=args.seed, record_trace=args.trace_dir is not None)
     try:
         sol = solve_all(system, options)
@@ -404,12 +407,7 @@ def cmd_fractal(args, argv) -> int:
                               max_iters=args.max_iters, label=args.poly)
         else:
             inputs.append(args.system)
-            text = _read_text(args.system, "system file")
-            try:
-                system = PolynomialSystem.from_json(text)
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise CliError(f"system file {args.system!r} is malformed: "
-                               f"{exc}") from exc
+            system = _load_system(args.system)
             if args.slice is None:
                 raise CliError("--system requires --slice DIR[|BASE]")
             parts = args.slice.split("|")

@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import (ManyBodyOperator, ModelSpec, SectorError, annihilate, create,
-                    enumerate_determinants, occupied_orbitals, so_spin)
+import scipy.sparse as sp
+
+from .model import (ModelSpec, SectorError, apply_string, enumerate_determinants,
+                    occupied_orbitals, so_spin)
 
 
 @dataclass(frozen=True, order=True)
@@ -111,50 +113,44 @@ def build_graph(model: ModelSpec, rank_max: int) -> ExcitationGraph:
                            rank_max, tuple(indices))
 
 
-def _raw_action(mu: ExcitationIndex, det: int):
-    """Apply annihilations (ascending holes) then creations (ascending particles)."""
-    phase = 1
-    for i in mu.holes:
-        step = annihilate(det, i)
-        if step is None:
-            return None
-        det, ph = step
-        phase *= ph
-    for a in mu.particles:
-        step = create(det, a)
-        if step is None:
-            return None
-        det, ph = step
-        phase *= ph
-    return det, phase
-
-
 def reference_sign(mu: ExcitationIndex, reference: int) -> int:
     """Raw phase of X_mu on the reference; folded out of the stored matrix."""
-    step = _raw_action(mu, reference)
+    step = apply_string(reference, mu.holes, mu.particles)
     if step is None:
         raise SectorError(f"excitation {mu.name()} does not act on the reference")
     return step[1]
 
 
+def excitation_entries(graph: ExcitationGraph, mu: ExcitationIndex,
+                       basis: list[int], index: dict) -> tuple:
+    """(rows, cols, phases) of X_mu on basis, sign-folded so X_mu|ref> = +|Phi_mu>.
+
+    `index` maps each determinant of `basis` to its position.  X_mu
+    annihilates holes (ascending), then creates particles (ascending).
+    """
+    sigma = reference_sign(mu, graph.reference)
+    rows, cols, phases = [], [], []
+    for col, det in enumerate(basis):
+        step = apply_string(det, mu.holes, mu.particles)
+        if step is None:
+            continue
+        row = index.get(step[0])
+        if row is None:
+            raise SectorError(f"basis not closed under {mu.name()}")
+        rows.append(row)
+        cols.append(col)
+        phases.append(step[1] * sigma)
+    return rows, cols, phases
+
+
 def excitation_matrix(graph: ExcitationGraph, mu: ExcitationIndex,
-                      basis: list[int] | None = None) -> ManyBodyOperator:
+                      basis: list[int] | None = None) -> sp.csr_matrix:
     """Matrix of X_mu on the sector basis, sign-folded so X_mu|ref> = +|Phi_mu>."""
     if basis is None:
         basis = enumerate_determinants(graph.n_so, graph.n_up, graph.n_dn)
-    index = {d: i for i, d in enumerate(basis)}
-    sigma = reference_sign(mu, graph.reference)
-    entries = {}
-    for col, det in enumerate(basis):
-        step = _raw_action(mu, det)
-        if step is None:
-            continue
-        target, phase = step
-        row = index.get(target)
-        if row is None:
-            raise SectorError(f"basis not closed under {mu.name()}")
-        entries[(row, col)] = phase * sigma
-    return ManyBodyOperator(len(basis), entries)
+    rows, cols, phases = excitation_entries(graph, mu, basis,
+                                            {d: i for i, d in enumerate(basis)})
+    return sp.csr_matrix((phases, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ Spin orbitals interleave spin into the spatial index: orbital ``2*p`` is
 is an occupation bitmask over spin orbitals (bit q set = orbital q occupied),
 and determinant bases are kept in ascending bitmask order.  The fermionic
 phase of creating/annihilating in orbital q on a determinant D is
-``(-1)**(number of occupied orbitals of D with index < q)``.
+``(-1)**(number of occupied orbitals of D with index < q)``; `apply_string`
+is the one place it is computed, for H here and for the excitation
+operators.  Operators are ``scipy.sparse`` CSR matrices on a basis.
 """
 
 from __future__ import annotations
@@ -74,20 +76,21 @@ def count_up_dn(det: int) -> tuple[int, int]:
     return up, det.bit_count() - up
 
 
-def annihilate(det: int, q: int) -> tuple[int, int] | None:
-    """Apply a_q; returns (new det, phase) or None if orbital q is empty."""
-    if not det >> q & 1:
-        return None
-    phase = -1 if (det & ((1 << q) - 1)).bit_count() & 1 else 1
-    return det & ~(1 << q), phase
+def apply_string(det: int, annihilations, creations) -> tuple[int, int] | None:
+    """Apply a_q for q in annihilations, in order, then a†_q for q in creations.
 
-
-def create(det: int, q: int) -> tuple[int, int] | None:
-    """Apply a†_q; returns (new det, phase) or None if orbital q is filled."""
-    if det >> q & 1:
-        return None
-    phase = -1 if (det & ((1 << q) - 1)).bit_count() & 1 else 1
-    return det | 1 << q, phase
+    Returns (new det, phase) or None when the string annihilates det.  This
+    is the one place a fermionic phase is computed.
+    """
+    phase = 1
+    for orbitals, filled in ((annihilations, 1), (creations, 0)):
+        for q in orbitals:
+            if (det >> q & 1) != filled:
+                return None
+            if (det & ((1 << q) - 1)).bit_count() & 1:
+                phase = -phase
+            det ^= 1 << q
+    return det, phase
 
 
 def enumerate_determinants(n_so: int, n_up: int, n_dn: int) -> list[int]:
@@ -256,40 +259,7 @@ def build_pairing(n_levels: int, spacing: float, g: float, n_pairs: int,
                      label=f"pairing(n={n_levels},d={spacing:g},g={g:g},pairs={n_pairs})")
 
 
-class ManyBodyOperator:
-    """Sparse operator on a determinant basis: map (row, col) -> complex."""
-
-    def __init__(self, dim: int, entries: dict, tol: float = 1e-15):
-        self.dim = dim
-        self.entries = {ij: complex(v) for ij, v in entries.items() if abs(v) > tol}
-        self._csr = None
-
-    def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            if self.entries:
-                rows, cols = zip(*self.entries)
-                vals = list(self.entries.values())
-            else:
-                rows = cols = vals = []
-            self._csr = sp.csr_matrix((vals, (rows, cols)),
-                                      shape=(self.dim, self.dim), dtype=complex)
-        return self._csr
-
-    def dense(self) -> np.ndarray:
-        return self.csr().toarray()
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector shape {vec.shape} does not match dim {self.dim}")
-        return self.csr() @ vec.astype(complex)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-
-def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None) -> ManyBodyOperator:
+def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None) -> sp.csr_matrix:
     """Second-quantized Hamiltonian matrix over a determinant basis.
 
     H = sum_pq h1[p,q] a†_pσ a_qσ
@@ -302,55 +272,34 @@ def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None) -> Ma
         basis = model.basis()
     index = {d: i for i, d in enumerate(basis)}
     ints = model.integrals
-    entries = {}
-
-    def add(row_det, col, val):
-        i = index.get(row_det)
-        if i is None:
-            raise SectorError(f"basis not closed: reached determinant {row_det:#x}")
-        entries[(i, col)] = entries.get((i, col), 0.0) + val
-
-    one_body = [(so_index(p, s), so_index(q, s), v)
-                for (p, q), v in ints.h1.items() for s in (UP, DOWN)]
-    one_body += [(so_index(q, s), so_index(p, s), v)
-                 for (p, q), v in ints.h1.items() if p != q for s in (UP, DOWN)]
-    two_body = [(so_index(p, s), so_index(q, s), so_index(r, t), so_index(ss, t), 0.5 * v)
+    strings = [((so_index(q, s),), (so_index(p, s),), v)
+               for (p, q), v in ints.h1.items() for s in (UP, DOWN)]
+    strings += [((so_index(p, s),), (so_index(q, s),), v)
+                for (p, q), v in ints.h1.items() if p != q for s in (UP, DOWN)]
+    strings += [((so_index(q, s), so_index(ss, t)), (so_index(r, t), so_index(p, s)), 0.5 * v)
                 for (p, q, r, ss), v in ints.h2_expanded()
                 for s in (UP, DOWN) for t in (UP, DOWN)]
-
+    # a string needs every orbital it annihilates filled: one test skips most
+    strings = [(sum({1 << q for q in a}), a, c, v) for a, c, v in strings]
+    entries = {}
     for col, det in enumerate(basis):
         if ints.core_energy:
             entries[(col, col)] = entries.get((col, col), 0.0) + ints.core_energy
-        for po, qo, v in one_body:
-            step = annihilate(det, qo)
+        for need, annihilations, creations, v in strings:
+            if det & need != need:
+                continue
+            step = apply_string(det, annihilations, creations)
             if step is None:
                 continue
-            d1, ph1 = step
-            step = create(d1, po)
-            if step is None:
-                continue
-            d2, ph2 = step
-            add(d2, col, v * ph1 * ph2)
-        for po, qo, ro, so, v in two_body:
-            step = annihilate(det, qo)
-            if step is None:
-                continue
-            d1, ph1 = step
-            step = annihilate(d1, so)
-            if step is None:
-                continue
-            d2, ph2 = step
-            step = create(d2, ro)
-            if step is None:
-                continue
-            d3, ph3 = step
-            step = create(d3, po)
-            if step is None:
-                continue
-            d4, ph4 = step
-            add(d4, col, v * ph1 * ph2 * ph3 * ph4)
+            row = index.get(step[0])
+            if row is None:
+                raise SectorError(f"basis not closed: reached determinant {step[0]:#x}")
+            entries[(row, col)] = entries.get((row, col), 0.0) + v * step[1]
 
-    return ManyBodyOperator(len(basis), entries)
+    entries = {ij: v for ij, v in entries.items() if abs(v) > 1e-15}
+    rows, cols = zip(*entries) if entries else ((), ())
+    return sp.csr_matrix((list(entries.values()), (rows, cols)),
+                         shape=(len(basis), len(basis)), dtype=complex)
 
 
 # --- plain-text integral files ---------------------------------------------

@@ -50,7 +50,7 @@ def fci_solve(model: ModelSpec, cap: int = _DIM_CAP) -> FCIResult:
     if len(basis) > cap:
         raise DimensionCapError(
             f"sector dimension {len(basis)} exceeds cap {cap}")
-    h = assemble_hamiltonian(model, basis).dense()
+    h = assemble_hamiltonian(model, basis).toarray()
     energies, vectors = np.linalg.eigh(h)
     return FCIResult(model, basis, energies, vectors)
 
@@ -92,7 +92,7 @@ def cluster_from_ci(res: FCIResult, k: int,
         coeff = c[index[mu.target(model.reference)]]
         if coeff == 0:
             continue
-        Xm = excitation_matrix(fg, mu, res.basis).csr() * coeff
+        Xm = excitation_matrix(fg, mu, res.basis) * coeff
         C = Xm if C is None else C + Xm
     e0 = np.zeros(len(res.basis), dtype=complex)
     e0[index[model.reference]] = 1.0

@@ -6,6 +6,8 @@ iteration and for the root registry, that the vectorized scan must
 reproduce pixel for pixel.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,22 @@ def test_unconverged_pixels_report_max_iters():
     np.testing.assert_array_equal(grid.iterations, [[5, 1, 5]])
     assert grid.roots == [0j]
 
+
+
+@pytest.mark.parametrize("text", ["z^300-1", "1e-300*z^2+1e300"])
+def test_overflowing_newton_steps_scan_silently(text):
+    # finite coefficients whose Newton steps overflow (polyval in the first,
+    # the quotient in the second): numpy stays silent and the overflowed
+    # pixels stay unconverged
+    coeffs, _ = parse_univariate(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = basin_scan(coeffs, (-2, 2, -2, 2), 16)
+    unconverged = grid.root_index < 0
+    assert unconverged.any()
+    assert (grid.iterations[unconverged] == grid.max_iters).all()
+    for root in grid.roots:                 # every root found is a true root
+        assert abs(np.polyval(np.asarray(coeffs)[::-1], root)) < 1e-6
 
 # --- multivariate slice --------------------------------------------------------------
 

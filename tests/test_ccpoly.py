@@ -270,7 +270,7 @@ def test_jacobian_against_central_differences():
 def test_signed_map_matches_excitation_matrices(model):
     graph = build_graph(model, full_rank(model))
     ws = Workspace(model, graph)
-    mats = [excitation_matrix(graph, mu, ws.basis).csr() for mu in graph.indices]
+    mats = [excitation_matrix(graph, mu, ws.basis) for mu in graph.indices]
     rng = np.random.default_rng(17)
     v = random_amplitudes(rng, ws.dim)
     xv = ws.excite(v)

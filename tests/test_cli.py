@@ -698,6 +698,14 @@ def test_fractal_rejects_non_finite_inputs(work, tmp_path, source):
     assert not (tmp_path / "a.ppm").exists()
 
 
+
+@pytest.mark.parametrize("poly", ["z^300-1", "1e-300*z^2+1e300"])
+def test_fractal_overflowing_newton_steps_print_no_warning(tmp_path, poly):
+    r = run("fractal", "--poly", poly, "--res", "16", "-o", tmp_path / "a.ppm")
+    assert r.returncode == 0, r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert read_bytes(tmp_path / "a.ppm").startswith(b"P6\n16 16\n255\n")
+
 def test_fractal_pixel_budget_is_a_capability_error(tmp_path):
     # rejected before any per-pixel array is allocated
     r = run("fractal", "--poly", "z^2-1", "--res", "2049", "-o", tmp_path / "a.ppm")

@@ -102,7 +102,7 @@ def test_matrices_commute_and_are_nilpotent():
 
     def mat(k):
         if k not in mats:
-            mats[k] = excitation_matrix(g, g.indices[k], basis).dense()
+            mats[k] = excitation_matrix(g, g.indices[k], basis).toarray()
         return mats[k]
 
     for _ in range(30):
@@ -122,7 +122,7 @@ def test_folded_sign_unit_action_on_reference():
         ref_idx = basis.index(model.reference)
         for mu in g.indices:
             x = excitation_matrix(g, mu, basis)
-            col = x.dense()[:, ref_idx]
+            col = x.toarray()[:, ref_idx]
             assert col[basis.index(mu.target(model.reference))] == 1
             assert np.count_nonzero(col) == 1
 
@@ -132,6 +132,37 @@ def test_reference_sign_squares_to_one():
     for mu in g.indices:
         assert reference_sign(mu, g.reference) in (-1, 1)
 
+
+
+def jordan_wigner_annihilators(n_so):
+    """a_q on the 2**n_so Fock space, qubit q = bit q of the state index."""
+    lower = np.array([[0, 1], [0, 0]])              # |1> -> |0>
+    z = np.diag([1, -1])
+    ops = []
+    for q in range(n_so):
+        m = np.ones((1, 1), dtype=int)
+        for p in reversed(range(n_so)):             # kron's last factor is bit 0
+            m = np.kron(m, np.eye(2, dtype=int) if p > q else lower if p == q else z)
+        ops.append(m)
+    return ops
+
+
+@pytest.mark.parametrize("n_up,n_dn", [(1, 1), (2, 1), (2, 2)])
+def test_matrices_match_jordan_wigner_strings(n_up, n_dn):
+    # X_mu = a+_{a_k} ... a+_{a_1} a_{i_k} ... a_{i_1} (holes annihilated
+    # first, ascending), times its reference sign, on the sector block
+    model = build_hubbard(3, 1.0, 2.0, n_up, n_dn)
+    g = build_graph(model, full_rank(model))
+    basis = model.basis()
+    a = jordan_wigner_annihilators(model.n_so)
+    for mu in g.indices:
+        x = np.eye(2 ** model.n_so, dtype=int)
+        for i in mu.holes:
+            x = a[i] @ x
+        for p in mu.particles:
+            x = a[p].T @ x
+        np.testing.assert_array_equal(excitation_matrix(g, mu, basis).toarray(),
+                                      reference_sign(mu, g.reference) * x[np.ix_(basis, basis)])
 
 def test_split_blocks():
     g = build_graph(pairing42(), 4)

@@ -22,8 +22,8 @@ def test_roundtrip_pairing(tmp_path):
     assert again.reference == model.reference
     assert again.integrals.h1 == model.integrals.h1      # 17 digits: exact
     assert again.integrals.h2 == model.integrals.h2
-    np.testing.assert_allclose(assemble_hamiltonian(again).dense(),
-                               assemble_hamiltonian(model).dense(), atol=0)
+    np.testing.assert_allclose(assemble_hamiltonian(again).toarray(),
+                               assemble_hamiltonian(model).toarray(), atol=0)
 
 
 def test_roundtrip_hubbard_with_core(tmp_path):
@@ -36,9 +36,9 @@ def test_roundtrip_hubbard_with_core(tmp_path):
     save_integrals(model, path)
     again = load_integrals(path)
     assert again.integrals.core_energy == -0.725
-    h = assemble_hamiltonian(again).dense()
+    h = assemble_hamiltonian(again).toarray()
     np.testing.assert_allclose(np.diag(h).real.min(), np.diag(
-        assemble_hamiltonian(model).dense()).real.min(), atol=0)
+        assemble_hamiltonian(model).toarray()).real.min(), atol=0)
 
 
 def test_sector_override_on_load(tmp_path):

@@ -17,13 +17,12 @@ from ccroots.model import (
     ModelSpec,
     SectorError,
     SymmetryError,
-    annihilate,
+    apply_string,
     assemble_hamiltonian,
     aufbau_reference,
     build_hubbard,
     build_pairing,
     count_up_dn,
-    create,
     det_from_occupied,
     enumerate_determinants,
     model_from_dict,
@@ -68,19 +67,19 @@ def test_det_from_occupied_rejects_duplicates():
 
 def test_fermionic_phases_by_hand():
     # a_2 on |0b0111>: two occupied orbitals below 2 -> phase +1
-    assert annihilate(0b0111, 2) == (0b0011, 1)
+    assert apply_string(0b0111, (2,), ()) == (0b0011, 1)
     # a_0 needs no transpositions
-    assert annihilate(0b0111, 0) == (0b0110, 1)
+    assert apply_string(0b0111, (0,), ()) == (0b0110, 1)
     # a_1 hops over orbital 0
-    assert annihilate(0b0111, 1) == (0b0101, -1)
-    assert annihilate(0b0101, 1) is None
-    assert create(0b0101, 1) == (0b0111, -1)
-    assert create(0b0111, 1) is None
+    assert apply_string(0b0111, (1,), ()) == (0b0101, -1)
+    assert apply_string(0b0101, (1,), ()) is None
+    assert apply_string(0b0101, (), (1,)) == (0b0111, -1)
+    assert apply_string(0b0111, (), (1,)) is None
     # anticommutation: a_p a_q = -a_q a_p on a state where both act
-    d1, s1 = annihilate(0b1011, 0)
-    d1, s1b = annihilate(d1, 3)
-    d2, s2 = annihilate(0b1011, 3)
-    d2, s2b = annihilate(d2, 0)
+    d1, s1 = apply_string(0b1011, (0,), ())
+    d1, s1b = apply_string(d1, (3,), ())
+    d2, s2 = apply_string(0b1011, (3,), ())
+    d2, s2b = apply_string(d2, (0,), ())
     assert d1 == d2
     assert s1 * s1b == -(s2 * s2b)
 
@@ -141,7 +140,7 @@ def test_integral_table_rejects_non_finite_values(h1, h2, core, entry):
 def test_dimer_hamiltonian_matches_hand_matrix():
     model = build_hubbard(2, 1.0, 4.0, 1, 1)
     assert model.basis() == DIMER_BASIS
-    h = assemble_hamiltonian(model).dense()
+    h = assemble_hamiltonian(model).toarray()
     np.testing.assert_allclose(h, DIMER_H, atol=1e-14)
 
 
@@ -161,15 +160,60 @@ def test_hamiltonian_hermitian_on_random_integrals():
                 h2.append((*key, float(rng.standard_normal())))
         table = IntegralTable.from_entries(n, h1, h2)
         model = ModelSpec(table, 2, 1, aufbau_reference(n, 2, 1))
-        hm = assemble_hamiltonian(model).dense()
+        hm = assemble_hamiltonian(model).toarray()
         np.testing.assert_allclose(hm, hm.conj().T, atol=1e-12)
 
+
+
+def jordan_wigner_annihilators(n_so):
+    """a_q on the 2**n_so Fock space, qubit q = bit q of the state index."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])     # |1> -> |0>
+    z = np.diag([1.0, -1.0])
+    ops = []
+    for q in range(n_so):
+        m = np.ones((1, 1))
+        for p in reversed(range(n_so)):             # kron's last factor is bit 0
+            m = np.kron(m, np.eye(2) if p > q else lower if p == q else z)
+        ops.append(m)
+    return ops
+
+
+@pytest.mark.parametrize("n_up,n_dn", [(1, 1), (2, 1), (3, 0)])
+def test_hamiltonian_matches_jordan_wigner_on_random_integrals(n_up, n_dn):
+    # independent phases: H built from Jordan-Wigner ladder matrices, with
+    # seeded integrals that carry the full 8-fold symmetry and a core energy
+    n = 3
+    rng = np.random.default_rng(29)
+    h1 = rng.standard_normal((n, n))
+    h1 = h1 + h1.T
+    g = rng.standard_normal((n,) * 4)
+    g = g + g.transpose(1, 0, 2, 3)
+    g = g + g.transpose(0, 1, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    core = 0.37
+    table = IntegralTable.from_entries(
+        n, [(p, q, h1[p, q]) for p, q in itertools.product(range(n), repeat=2)],
+        [(*idx, g[idx]) for idx in itertools.product(range(n), repeat=4)], core)
+    model = ModelSpec(table, n_up, n_dn, aufbau_reference(n, n_up, n_dn))
+
+    a = jordan_wigner_annihilators(2 * n)
+    h = core * np.eye(2 ** (2 * n))
+    for p, q in itertools.product(range(n), repeat=2):
+        for s in (0, 1):
+            h += h1[p, q] * a[2 * p + s].T @ a[2 * q + s]
+    for p, q, r, ss in itertools.product(range(n), repeat=4):
+        for s, t in itertools.product((0, 1), repeat=2):
+            h += 0.5 * g[p, q, r, ss] * (a[2 * p + s].T @ a[2 * r + t].T
+                                         @ a[2 * ss + t] @ a[2 * q + s])
+    basis = model.basis()
+    np.testing.assert_allclose(assemble_hamiltonian(model, basis).toarray(),
+                               h[np.ix_(basis, basis)], rtol=0, atol=1e-12)
 
 def test_sector_block_is_closed():
     model = build_hubbard(3, 1.0, 2.0, 2, 1)
     basis = model.basis()
     op = assemble_hamiltonian(model)
-    assert op.dense().shape == (len(basis), len(basis))
+    assert op.toarray().shape == (len(basis), len(basis))
     for det in basis:
         assert count_up_dn(det) == (2, 1)
 
@@ -180,17 +224,17 @@ def test_apply_matches_dense():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(model.sector_dimension()) \
         + 1j * rng.standard_normal(model.sector_dimension())
-    np.testing.assert_allclose(op.apply(v), op.dense() @ v, atol=1e-12)
+    np.testing.assert_allclose(op @ v, op.toarray() @ v, atol=1e-12)
 
 
 def test_hubbard_limits():
     # t = 0: diagonal, eigenvalues are U * (number of doubly occupied sites)
     model = build_hubbard(2, 0.0, 4.0, 1, 1)
-    h = assemble_hamiltonian(model).dense()
+    h = assemble_hamiltonian(model).toarray()
     np.testing.assert_allclose(h, np.diag([4.0, 0.0, 0.0, 4.0]), atol=1e-14)
     # U = 0: spins decouple; ground energy is twice the 1-particle minimum
     model = build_hubbard(2, 1.0, 0.0, 1, 1)
-    w = np.linalg.eigvalsh(assemble_hamiltonian(model).dense())
+    w = np.linalg.eigvalsh(assemble_hamiltonian(model).toarray())
     np.testing.assert_allclose(w.min(), -2.0, atol=1e-12)
 
 
@@ -198,7 +242,7 @@ def test_pairing_noninteracting_spectrum():
     # g = 0: every sector determinant is an eigenvector with the sum of its
     # occupied level energies
     model = build_pairing(4, 1.0, 0.0, 2)
-    h = assemble_hamiltonian(model).dense()
+    h = assemble_hamiltonian(model).toarray()
     levels = np.array([0.0, 1.0, 2.0, 3.0])
     expected = sorted(
         levels[list(up)].sum() + levels[list(dn)].sum()
@@ -233,8 +277,8 @@ def test_model_dict_roundtrip():
     assert again.integrals.core_energy == model.integrals.core_energy
     assert again.integrals.h1 == model.integrals.h1
     assert again.integrals.h2 == model.integrals.h2
-    np.testing.assert_allclose(assemble_hamiltonian(again).dense(),
-                               assemble_hamiltonian(model).dense(),
+    np.testing.assert_allclose(assemble_hamiltonian(again).toarray(),
+                               assemble_hamiltonian(model).toarray(),
                                atol=1e-15)
 
 

@@ -52,7 +52,7 @@ def test_eigenvectors_orthonormal_and_exact():
     np.testing.assert_allclose(res.vectors.conj().T @ res.vectors,
                                np.eye(36), atol=1e-12)
     from ccroots.model import assemble_hamiltonian
-    h = assemble_hamiltonian(model).dense()
+    h = assemble_hamiltonian(model).toarray()
     for k in (0, 7, 35):
         np.testing.assert_allclose(h @ res.vectors[:, k],
                                    res.energies[k] * res.vectors[:, k],

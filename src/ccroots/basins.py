@@ -241,13 +241,18 @@ def basin_scan(poly, window, resolution, roots=None,
         raise ValueError("need a univariate polynomial of degree >= 1")
     if not np.isfinite(coeffs).all():
         raise ValueError("polynomial coefficients must be finite")
-    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
-    desc = coeffs[::-1]
-    ddesc = dcoeffs[::-1]
+    desc, ddesc = coeffs[::-1], (coeffs[1:] * np.arange(1, len(coeffs)))[::-1]
     grid = _grid(window, resolution, roots, max_iters, label)
 
+    def horner(c, za):                  # np.polyval's y = y * za + c, in place
+        y = np.zeros_like(za)
+        for ck in c:
+            y *= za
+            y += ck
+        return y
+
     def newton_step(za):
-        return np.polyval(desc, za) / np.polyval(ddesc, za)
+        return horner(desc, za) / horner(ddesc, za)
 
     return _scan(grid, newton_step, tol, match_radius)
 

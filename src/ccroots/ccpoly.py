@@ -35,12 +35,6 @@ def mono_degree(mono) -> int:
     return sum(e for _, e in mono)
 
 
-def mono_mul_var(mono, var):
-    d = dict(mono)
-    d[var] = d.get(var, 0) + 1
-    return tuple(sorted(d.items()))
-
-
 def mono_mul(m1, m2):
     d = dict(m1)
     for v, e in m2:
@@ -287,14 +281,6 @@ class Workspace:
         """Analytic Jacobian d r_mu / d t_nu in graph order."""
         return self.residuals_and_jacobian(t)[1]
 
-    def ad_power_applied(self, t, order: int) -> np.ndarray:
-        """ad_T^order(H) |ref> -- vanishes identically for order > 4."""
-        T = self.t_operator(t)
-        A = self.H
-        for _ in range(order):
-            A = A @ T - T @ A
-        return A @ self.e0
-
 
 @dataclass
 class CCSystem:
@@ -314,51 +300,98 @@ class CCSystem:
 
 
 # --- exact polynomial extraction ---------------------------------------------
+# A level of the e^{+-T} series is three arrays (key, col, val), one entry per
+# nonzero (monomial, determinant), sorted by (first occurrence of the key,
+# col).  A key is _BCH_ORDER sorted uint16 variable slots (_EMPTY if unused)
+# viewed as one uint64; it is a multiset, as t_nu^2 occurs.
 
-def _apply_level(ws: Workspace, level: dict, k: int, sign: float, cap: int) -> dict:
-    """One T-application: level_k = sign * T(level_{k-1}) / k, degree-capped."""
-    out = {}
-    for mono, vec in level.items():
-        if mono_degree(mono) >= cap:
-            continue
-        xv = ws.excite(vec)
-        for nu in np.flatnonzero(xv.any(axis=1)):   # X_nu that do not annihilate vec
-            m2, w = mono_mul_var(mono, int(nu)), (sign / k) * xv[nu]
-            out[m2] = out[m2] + w if m2 in out else w
-    return {m: v for m, v in out.items() if np.any(v)}
+_EMPTY = 0xFFFF
+
+
+def _first_occurrence(keys) -> np.ndarray:
+    """Index of each key's first occurrence, a position in first-occurrence order."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _merge(keys, rows, vals) -> tuple:
+    """Sum the values of equal (key, row) pairs, each sum a left fold from 0 in
+    input order, as dense vector sums run (np.add.reduceat would regroup).
+    Returns the input index of each pair's first entry and its sum, sorted
+    by (first occurrence of the key, row), zero sums dropped."""
+    pos = _first_occurrence(keys)
+    order = np.lexsort((rows, pos))
+    start = np.flatnonzero(np.diff(pos[order], prepend=-1) | np.diff(rows[order], prepend=-1))
+    size = np.diff(np.append(start, len(order)))
+    total = np.zeros(len(start), dtype=complex)
+    for j in range(size.max(initial=0)):
+        live = np.flatnonzero(size > j)
+        total[live] += vals[order[start[live] + j]]
+    keep = total != 0
+    return order[start[keep]], total[keep]
+
+
+def _excite_level(ws: Workspace, level: tuple, scale: float) -> tuple:
+    """scale * T(level) over the keys below the degree cap; the products run
+    in (source key, nu) order."""
+    keys, cols, vals = level
+    live = np.flatnonzero(keys.view(np.uint16).reshape(-1, _BCH_ORDER)[:, -1] == _EMPTY)
+    nu, i = np.nonzero(ws.x_phase[:, cols[live]])
+    order = np.argsort(_first_occurrence(keys)[live[i]], kind="stable")
+    nu, i = nu[order], live[i[order]]
+    slots = keys[i].view(np.uint16).reshape(-1, _BCH_ORDER)
+    slots[:, -1] = nu                       # the last slot is empty below the cap
+    slots.sort(axis=1)
+    new, rows = slots.view(np.uint64).ravel(), ws.x_dst[nu, cols[i]]
+    idx, total = _merge(new, rows, scale * (ws.x_phase[nu, cols[i]] * vals[i]))
+    return new[idx], rows[idx], total
+
+
+def _exp_series(ws: Workspace, level: tuple, sign: float) -> tuple:
+    """e^{sign T} on a level; a monomial reached at several levels is summed
+    in level order."""
+    levels = [level]
+    while len(levels[-1][0]):
+        levels.append(_excite_level(ws, levels[-1], sign / len(levels)))
+    keys, cols, vals = (np.concatenate(a) for a in zip(*levels))
+    idx, total = _merge(keys, cols, vals)
+    return keys[idx], cols[idx], total
+
+
+def _apply_h(hc: sp.csc_matrix, level: tuple) -> tuple:
+    """H on a level through its CSC columns, each sum over ascending columns."""
+    keys, cols, vals = level
+    lo, n = hc.indptr[cols], np.diff(hc.indptr)[cols]
+    i = np.repeat(np.arange(len(cols)), n)
+    j = lo[i] + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    idx, total = _merge(keys[i], hc.indices[j], hc.data[j] * vals[i])
+    return keys[i][idx], hc.indices[j][idx], total
 
 
 def generate_system(model: ModelSpec, graph: ExcitationGraph) -> CCSystem:
     """Extract every projected residual as an exact polynomial in t.
 
     The vector-valued polynomial e^{-T} H e^{T}|ref> is expanded over
-    square-free excitation subsets; monomials above total degree 4 are never
-    formed, which is exact because the commutator series of a two-body H
-    terminates there.  Coefficients below 1e-14 of each equation's largest
-    are pruned.
+    monomials, repeats included (t_nu^2 comes from nu in e^{T} times nu in
+    e^{-T}); monomials above total degree 4 are never formed, which is exact
+    because the commutator series of a two-body H terminates there.
+    Coefficients below 1e-14 of each equation's largest are pruned.
     """
-    ws = Workspace(model, graph)
-
-    def exp_series(level: dict, sign: float) -> dict:
-        """e^{sign T} applied to a monomial -> vector dict, level by level."""
-        total = dict(level)
-        k = 1
-        while level:
-            level = _apply_level(ws, level, k, sign, _BCH_ORDER)
-            for m, v in level.items():
-                total[m] = total.get(m, 0) + v
-            k += 1
-        return total
-
-    psi = exp_series({(): ws.e0.copy()}, 1.0)
-    out = exp_series({m: w for m, v in psi.items() if np.any(w := ws.H @ v)}, -1.0)
+    ws = Workspace(model, graph)      # x_phase is K x dim, so K stays far below _EMPTY
+    psi = _exp_series(ws, (np.full(_BCH_ORDER, _EMPTY, dtype=np.uint16).view(np.uint64),
+                           np.array([ws.ref_idx]), np.ones(1, dtype=complex)), 1.0)
+    keys, cols, vals = _exp_series(ws, _apply_h(ws.H.tocsc(), psi), -1.0)
 
     rows = np.append(ws.target_idx, ws.ref_idx)   # every equation, then the energy
+    eq_of = np.full(ws.dim, -1)
+    eq_of[rows] = np.arange(len(rows))
+    sel = np.flatnonzero(eq_of[cols] >= 0)
+    uniq, inverse = np.unique(keys[sel], return_inverse=True)
+    monos = [tuple((v, s.count(v)) for v in sorted(set(s) - {_EMPTY}))
+             for s in uniq.view(np.uint16).reshape(-1, _BCH_ORDER).tolist()]
     terms = [{} for _ in rows]
-    for m, v in out.items():
-        vals = v[rows]
-        for r in np.flatnonzero(vals):
-            terms[r][m] = vals[r]
+    for m, eq, v in zip(inverse.tolist(), eq_of[cols[sel]].tolist(), vals[sel]):
+        terms[eq][monos[m]] = v
     *eqs, energy_poly = (Polynomial(d).pruned() for d in terms)
 
     names = graph.names()
@@ -527,6 +560,14 @@ def _wave_expansion(blocks: _PairBlocks) -> dict:
     ws = blocks.ws
     ref = ws.model.reference
     psi = {}
+
+    def add(poly, d_idx, ops, a, b, sign=1):
+        """poly += phase(ops) * sign * x_a x_b, where ops reach determinant d_idx."""
+        idx, ph = blocks.seq_phase(ops)
+        assert idx == d_idx
+        m = mono_mul(((a, 1),), ((b, 1),))
+        poly.terms[m] = poly.terms.get(m, 0j) + ph * sign
+
     for d_idx, det in enumerate(ws.basis):
         hol = [q for q in range(ws.model.n_so) if (ref >> q & 1) and not (det >> q & 1)]
         par = [q for q in range(ws.model.n_so) if (det >> q & 1) and not (ref >> q & 1)]
@@ -563,10 +604,7 @@ def _wave_expansion(blocks: _PairBlocks) -> dict:
                     kd = blocks.double_pos.get((dh, dp))
                     if kd is None:
                         continue
-                    idx, ph = blocks.seq_phase((s, kd))
-                    assert idx == d_idx
-                    m = mono_mul(((s, 1),), ((kd, 1),))
-                    poly.terms[m] = poly.terms.get(m, 0j) + ph
+                    add(poly, d_idx, (s, kd), s, kd)
             # three singles: expand along the smallest hole
             h1 = hol[0]
             for j in range(3):
@@ -578,10 +616,7 @@ def _wave_expansion(blocks: _PairBlocks) -> dict:
                 if blk is None:
                     continue
                 kd, ops, sign = blk
-                idx, ph = blocks.seq_phase((s,) + ops)
-                assert idx == d_idx
-                m = mono_mul(((s, 1),), ((blocks.aux_var(kd), 1),))
-                poly.terms[m] = poly.terms.get(m, 0j) + ph * sign
+                add(poly, d_idx, (s,) + ops, s, blocks.aux_var(kd), sign)
         elif r == 4:
             ha, hb = (hol[0], hol[1]), (hol[2], hol[3])
             # two doubles: the block holding the smallest hole is canonical
@@ -593,10 +628,7 @@ def _wave_expansion(blocks: _PairBlocks) -> dict:
                     kb = blocks.double_pos.get((dh_b, pb))
                     if ka is None or kb is None:
                         continue
-                    idx, ph = blocks.seq_phase((ka, kb))
-                    assert idx == d_idx
-                    m = mono_mul(((ka, 1),), ((kb, 1),))
-                    poly.terms[m] = poly.terms.get(m, 0j) + ph
+                    add(poly, d_idx, (ka, kb), ka, kb)
             # two singles + one double, grouped by the singles' 2x2 block
             for sh, dh in _pairs2(hol):
                 for sp, dp in _pairs2(par):
@@ -605,10 +637,7 @@ def _wave_expansion(blocks: _PairBlocks) -> dict:
                     if blk is None or kd is None:
                         continue
                     ka, ops, sign = blk
-                    idx, ph = blocks.seq_phase(ops + (kd,))
-                    assert idx == d_idx
-                    m = mono_mul(((blocks.aux_var(ka), 1),), ((kd, 1),))
-                    poly.terms[m] = poly.terms.get(m, 0j) + ph * sign
+                    add(poly, d_idx, ops + (kd,), blocks.aux_var(ka), kd, sign)
             # four singles: Laplace expansion along the two smallest holes
             for pa, pb in _pairs2(par):
                 blk_a = blocks.block(ha, pa)
@@ -617,10 +646,8 @@ def _wave_expansion(blocks: _PairBlocks) -> dict:
                     continue
                 ka, ops_a, sign_a = blk_a
                 kb, ops_b, sign_b = blk_b
-                idx, ph = blocks.seq_phase(ops_a + ops_b)
-                assert idx == d_idx
-                m = mono_mul(((blocks.aux_var(ka), 1),), ((blocks.aux_var(kb), 1),))
-                poly.terms[m] = poly.terms.get(m, 0j) + ph * sign_a * sign_b
+                add(poly, d_idx, ops_a + ops_b, blocks.aux_var(ka), blocks.aux_var(kb),
+                    sign_a * sign_b)
         psi[d_idx] = poly
     return psi
 

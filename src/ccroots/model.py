@@ -42,10 +42,6 @@ def so_index(spatial: int, spin: int) -> int:
     return 2 * spatial + spin
 
 
-def so_spatial(q: int) -> int:
-    return q // 2
-
-
 def so_spin(q: int) -> int:
     return q & 1
 
@@ -266,7 +262,8 @@ def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None) -> sp
       + 1/2 sum_pqrs (pq|rs) a†_pσ a†_rτ a_sτ a_qσ  + core.
 
     The basis defaults to the model's (n_up, n_dn) sector and must be closed
-    under H (any spin-conserving sector union is).
+    under H (any spin-conserving sector union is).  Entries at or below 1e-15
+    of the largest absolute integral, core energy included, are dropped.
     """
     if basis is None:
         basis = model.basis()
@@ -296,7 +293,8 @@ def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None) -> sp
                 raise SectorError(f"basis not closed: reached determinant {step[0]:#x}")
             entries[(row, col)] = entries.get((row, col), 0.0) + v * step[1]
 
-    entries = {ij: v for ij, v in entries.items() if abs(v) > 1e-15}
+    cut = 1e-15 * max(map(abs, [ints.core_energy, *ints.h1.values(), *ints.h2.values()]))
+    entries = {ij: v for ij, v in entries.items() if abs(v) > cut}
     rows, cols = zip(*entries) if entries else ((), ())
     return sp.csr_matrix((list(entries.values()), (rows, cols)),
                          shape=(len(basis), len(basis)), dtype=complex)

@@ -5,6 +5,8 @@ Oracles:
     (t1, t2, d) with integer coefficients),
   * the matrix route e^{-T} H e^{T} |ref> evaluated with explicit sparse
     exponentials, independent of the symbolic expansion,
+  * a dense reference expansion, one full vector per monomial, that the
+    generated systems must match byte for byte,
   * central finite differences for Jacobians.
 """
 
@@ -20,8 +22,12 @@ from ccroots.ccpoly import (
     QuadratizationError,
     Workspace,
     _PairBlocks,
+    _merge,
+    _poly_terms_for_json,
     cc_system_for_rank,
     generate_system,
+    mono_degree,
+    mono_mul,
     poly_from_json_terms,
     quadratize,
     root_bounds,
@@ -39,6 +45,15 @@ def dimer_cc():
 
 def random_amplitudes(rng, n, scale=0.6):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def ad_power_applied(ws, t, order):
+    """ad_T^order(H) |ref>, by explicit sparse commutators; vanishes for order > 4."""
+    T = ws.t_operator(t)
+    A = ws.H
+    for _ in range(order):
+        A = A @ T - T @ A
+    return A @ ws.e0
 
 
 # --- Polynomial basics -------------------------------------------------------
@@ -131,6 +146,86 @@ def test_fused_evaluator_matches_per_term_reference(batch):
     np.testing.assert_allclose(system.evaluate(x), f, rtol=1e-14, atol=1e-14)
 
 
+# --- generation against a dense reference ----------------------------------------
+
+def dense_generate(cc):
+    """e^{-T} H e^{T}|ref> expanded on one dense vector per monomial, level by
+    level, degree-capped at 4: (equations, energy) for cc's model and graph."""
+    ws = cc.workspace
+
+    def apply_level(level, k, sign):
+        out = {}
+        for mono, vec in level.items():
+            if mono_degree(mono) >= 4:
+                continue
+            xv = ws.excite(vec)
+            for nu in np.flatnonzero(xv.any(axis=1)):   # X_nu that do not annihilate vec
+                m2, w = mono_mul(mono, ((int(nu), 1),)), (sign / k) * xv[nu]
+                out[m2] = out[m2] + w if m2 in out else w
+        return {m: v for m, v in out.items() if np.any(v)}
+
+    def exp_series(level, sign):
+        total = dict(level)
+        k = 1
+        while level:
+            level = apply_level(level, k, sign)
+            for m, v in level.items():
+                total[m] = total.get(m, 0) + v
+            k += 1
+        return total
+
+    psi = exp_series({(): ws.e0.copy()}, 1.0)
+    out = exp_series({m: w for m, v in psi.items() if np.any(w := ws.H @ v)}, -1.0)
+    rows = np.append(ws.target_idx, ws.ref_idx)
+    terms = [{} for _ in rows]
+    for m, v in out.items():
+        vals = v[rows]
+        for r in np.flatnonzero(vals):
+            terms[r][m] = vals[r]
+    *eqs, energy = (Polynomial(d).pruned() for d in terms)
+    return eqs, energy
+
+
+@pytest.mark.parametrize("make, rank", [
+    (lambda: build_pairing(5, 1.0, 0.37, 2), 2),      # holds t_nu^2 terms
+    (lambda: build_hubbard(5, 1.0, 4.0, 2, 2), 2),
+    (lambda: build_pairing(5, 1.0, 0.4, 2), 3),
+    (lambda: build_hubbard(3, 1.0, 4.0, 1, 1), None),
+    (lambda: build_hubbard(3, 1.0, 4.0, 2, 1), None),
+    (lambda: build_hubbard(3, 1.0, 4.0, 1, 1, reference=0b100100), None),   # non-aufbau
+    (lambda: build_hubbard(4, 1.0, 4.0, 2, 2), None),
+    (lambda: build_pairing(4, 1.0, 0.5, 2), None),
+], ids=["pairing5-r2", "hubbard5-r2", "pairing5-r3", "hubbard3-11", "hubbard3-21",
+        "hubbard3-11-nonaufbau", "hubbard4-22", "pairing4"])
+def test_generation_matches_dense_reference(make, rank):
+    model = make()
+    cc = cc_system_for_rank(model, rank or full_rank(model))
+    eqs, energy = dense_generate(cc)
+    names = cc.polynomials.var_names
+    dense = PolynomialSystem(eqs, names, dict(cc.polynomials.metadata,
+                                              energy=_poly_terms_for_json(energy, names)))
+    assert dense.to_json() == cc.polynomials.to_json()
+    # same terms in the same order, so per-term sums agree too
+    assert [list(eq.terms) for eq in eqs] == [list(eq.terms) for eq in cc.polynomials.equations]
+    assert list(energy.terms) == list(cc.energy_poly.terms)
+
+
+def test_generation_keeps_squared_amplitudes():
+    cc = cc_system_for_rank(build_pairing(5, 1.0, 0.37, 2), 2)
+    squares = sum(any(e == 2 for _, e in m) for eq in cc.polynomials.equations for m in eq.terms)
+    assert squares == 144
+
+
+def test_merge_folds_left_from_zero_in_first_occurrence_order():
+    keys = np.array([7, 7, 7, 3, 7], dtype=np.uint64)
+    rows = np.array([0, 0, 0, 1, 2])
+    vals = np.array([1.0, 1e-16, 1e-16, complex(-0.0, 2.0), 0.0], dtype=complex)
+    idx, total = _merge(keys, rows, vals)
+    # ((0 + 1) + 1e-16) + 1e-16 is exactly 1; summing the tail first is not
+    assert idx.tolist() == [0, 3] and total.tolist() == [1.0, 2j]
+    assert not np.signbit(total[1].real)     # the leading 0 turns -0.0 into 0.0
+
+
 # --- dimer equations by hand -------------------------------------------------
 
 def test_dimer_equations_match_hand_derivation():
@@ -184,7 +279,7 @@ def test_polynomials_match_matrix_route(make):
     for _ in range(10):
         t = random_amplitudes(rng, len(cc.graph))
         via_poly = cc.polynomials.evaluate(t)
-        via_bch = sum(ws.ad_power_applied(t, k) / math.factorial(k) for k in range(5))
+        via_bch = sum(ad_power_applied(ws, t, k) / math.factorial(k) for k in range(5))
         via_expm = ws.residual_vector(t, path="expm")
         scale = max(1.0, np.abs(via_expm).max())
         np.testing.assert_allclose(via_bch, via_expm, atol=1e-11 * scale)
@@ -213,13 +308,13 @@ def test_commutator_series_terminates():
         rng = np.random.default_rng(5)
         for _ in range(5):
             t = random_amplitudes(rng, len(cc.graph), scale=1.0)
-            v = ws.ad_power_applied(t, 5)
+            v = ad_power_applied(ws, t, 5)
             assert np.abs(v).max() < 1e-12
     # order 4 does NOT vanish in general (on a model big enough to host it)
     cc = cc_system_for_rank(build_pairing(4, 1.0, 0.33, 2), 2)
     rng = np.random.default_rng(5)
     t = random_amplitudes(rng, len(cc.graph), scale=1.0)
-    assert np.abs(cc.workspace.ad_power_applied(t, 4)).max() > 1e-10
+    assert np.abs(ad_power_applied(cc.workspace, t, 4)).max() > 1e-10
 
 
 def test_degree_caps():

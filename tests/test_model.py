@@ -29,7 +29,6 @@ from ccroots.model import (
     model_to_dict,
     occupied_orbitals,
     so_index,
-    so_spatial,
     so_spin,
 )
 
@@ -49,7 +48,7 @@ def test_spin_orbital_indexing():
     assert so_index(0, 0) == 0
     assert so_index(0, 1) == 1
     assert so_index(3, 0) == 6
-    assert [so_spatial(q) for q in range(6)] == [0, 0, 1, 1, 2, 2]
+    assert [so_index(q // 2, so_spin(q)) for q in range(6)] == list(range(6))
     assert [so_spin(q) for q in range(6)] == [0, 1, 0, 1, 0, 1]
 
 
@@ -142,6 +141,14 @@ def test_dimer_hamiltonian_matches_hand_matrix():
     assert model.basis() == DIMER_BASIS
     h = assemble_hamiltonian(model).toarray()
     np.testing.assert_allclose(h, DIMER_H, atol=1e-14)
+
+
+def test_hamiltonian_in_small_units_keeps_its_entries():
+    # the entry cutoff scales with the integrals: t = 1e-16 is not noise
+    small = assemble_hamiltonian(build_hubbard(2, 1e-16, 4e-16, 1, 1)).toarray()
+    unit = assemble_hamiltonian(build_hubbard(2, 1.0, 4.0, 1, 1)).toarray()
+    np.testing.assert_allclose(np.linalg.eigvalsh(small), 1e-16 * np.linalg.eigvalsh(unit),
+                               rtol=1e-12, atol=1e-28)
 
 
 def test_hamiltonian_hermitian_on_random_integrals():

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .excitations import ExcitationGraph, build_graph, excitation_entries
-from .model import ModelSpec, assemble_hamiltonian, enumerate_determinants
+from .model import ModelSpec, csr_matrix, enumerate_determinants, hamiltonian_entries
 
 _BCH_ORDER = 4          # nested commutators of a two-body H vanish past this
 _PRUNE_REL = 1e-14      # coefficient prune threshold, relative per equation
@@ -212,7 +212,7 @@ class Workspace:
         self.index = {d: i for i, d in enumerate(self.basis)}
         self.dim = len(self.basis)
         self.ref_idx = self.index[model.reference]
-        self.H = assemble_hamiltonian(model, self.basis)
+        self.h_entries = hamiltonian_entries(model, self.basis)
         self.x_dst = np.full((len(graph), self.dim), self.dim, dtype=np.intp)
         self.x_phase = np.zeros((len(graph), self.dim))
         for k, mu in enumerate(graph.indices):
@@ -220,6 +220,10 @@ class Workspace:
             self.x_dst[k, cols], self.x_phase[k, cols] = rows, phases
         self.target_idx = np.array([self.index[mu.target(model.reference)]
                                     for mu in graph.indices])
+        k, col = np.nonzero(self.x_phase)         # T's CSR pattern, by (row, col)
+        order = np.lexsort((col, self.x_dst[k, col]))
+        self.t_k, self.t_col = k[order], col[order].astype(np.int32)   # scipy's index dtype
+        self.t_row, self.t_phase = self.x_dst[k, col][order], self.x_phase[k, col][order]
         self.n_elec = model.n_elec
         self.e0 = np.zeros(self.dim, dtype=complex)
         self.e0[self.ref_idx] = 1.0
@@ -232,14 +236,21 @@ class Workspace:
             self.x_phase * v[..., None, :]
         return out[..., :self.dim]
 
-    def t_operator(self, t) -> sp.csr_matrix:
-        """T = sum_k t_k X_k, one CSR build; zero amplitudes store nothing."""
-        data = self.x_phase * np.asarray(t, dtype=complex)[:, None]
-        k, col = np.nonzero(data)
-        return sp.csr_matrix((data[k, col], (self.x_dst[k, col], col)),
-                             shape=(self.dim, self.dim))
+    @cached_property
+    def H(self):
+        """H as a CSR matrix, built on first use."""
+        rows, cols, vals = self.h_entries
+        return csr_matrix((vals, (rows, cols)), self.dim)
 
-    def expm_apply(self, T: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    def t_operator(self, t):
+        """T = sum_k t_k X_k as CSR, on the precomputed pattern; zero
+        amplitudes store nothing."""
+        data = self.t_phase * np.asarray(t, dtype=complex)[self.t_k]
+        keep = data != 0
+        indptr = np.searchsorted(self.t_row[keep], np.arange(self.dim + 1)).astype(np.int32)
+        return csr_matrix((data[keep], self.t_col[keep], indptr), self.dim)
+
+    def expm_apply(self, T, v: np.ndarray) -> np.ndarray:
         """e^T v through the nilpotent series (T raises excitation rank)."""
         w = v.astype(complex)
         term = w
@@ -358,14 +369,18 @@ def _exp_series(ws: Workspace, level: tuple, sign: float) -> tuple:
     return keys[idx], cols[idx], total
 
 
-def _apply_h(hc: sp.csc_matrix, level: tuple) -> tuple:
-    """H on a level through its CSC columns, each sum over ascending columns."""
+def _apply_h(ws: Workspace, level: tuple) -> tuple:
+    """H on a level through its CSC arrays, each sum over ascending columns."""
+    h_rows, h_cols, h_vals = ws.h_entries
+    order = np.lexsort((h_rows, h_cols))
+    indptr = np.searchsorted(h_cols[order], np.arange(ws.dim + 1))
+    indices, data = h_rows[order], h_vals[order]
     keys, cols, vals = level
-    lo, n = hc.indptr[cols], np.diff(hc.indptr)[cols]
+    lo, n = indptr[cols], np.diff(indptr)[cols]
     i = np.repeat(np.arange(len(cols)), n)
     j = lo[i] + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    idx, total = _merge(keys[i], hc.indices[j], hc.data[j] * vals[i])
-    return keys[i][idx], hc.indices[j][idx], total
+    idx, total = _merge(keys[i], indices[j], data[j] * vals[i])
+    return keys[i][idx], indices[j][idx], total
 
 
 def generate_system(model: ModelSpec, graph: ExcitationGraph) -> CCSystem:
@@ -380,7 +395,7 @@ def generate_system(model: ModelSpec, graph: ExcitationGraph) -> CCSystem:
     ws = Workspace(model, graph)      # x_phase is K x dim, so K stays far below _EMPTY
     psi = _exp_series(ws, (np.full(_BCH_ORDER, _EMPTY, dtype=np.uint16).view(np.uint64),
                            np.array([ws.ref_idx]), np.ones(1, dtype=complex)), 1.0)
-    keys, cols, vals = _exp_series(ws, _apply_h(ws.H.tocsc(), psi), -1.0)
+    keys, cols, vals = _exp_series(ws, _apply_h(ws, psi), -1.0)
 
     rows = np.append(ws.target_idx, ws.ref_idx)   # every equation, then the energy
     eq_of = np.full(ws.dim, -1)
@@ -652,6 +667,13 @@ def _wave_expansion(blocks: _PairBlocks) -> dict:
     return psi
 
 
+def _h_rows(ws: Workspace) -> list:
+    """H's rows as (cols, values) pairs, columns ascending in each."""
+    rows, cols, vals = ws.h_entries
+    cut = np.searchsorted(rows, np.arange(1, ws.dim))
+    return list(zip(np.split(cols, cut), np.split(vals, cut)))
+
+
 def quadratize(cc: CCSystem) -> PolynomialSystem:
     """Rewrite a CCSD-type system as an equivalent degree <= 2 system.
 
@@ -673,18 +695,20 @@ def quadratize(cc: CCSystem) -> PolynomialSystem:
     ws = cc.workspace
     psi = _wave_expansion(blocks)
 
-    energy = Polynomial()
-    row = ws.H.getrow(ws.ref_idx).tocoo()
-    for d_idx, hval in zip(row.col, row.data):
-        energy.add_scaled(psi[int(d_idx)], hval)
+    rows = _h_rows(ws)
 
+    def h_psi(i):
+        """<Phi_i| H e^T |ref>, summed over the row's ascending columns."""
+        f = Polynomial()
+        for d_idx, hval in zip(*rows[i]):
+            f.add_scaled(psi[int(d_idx)], hval)
+        return f
+
+    energy = h_psi(ws.ref_idx)
     eqs = []
     for k in range(len(graph)):
         mu_idx = int(ws.target_idx[k])
-        f = Polynomial()
-        row = ws.H.getrow(mu_idx).tocoo()
-        for d_idx, hval in zip(row.col, row.data):
-            f.add_scaled(psi[int(d_idx)], hval)
+        f = h_psi(mu_idx)
         f.add_scaled(energy.mul(psi[mu_idx]), -1.0)
         eqs.append(f.pruned())
     eqs.extend(blocks.defining_polys())

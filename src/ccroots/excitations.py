@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import scipy.sparse as sp
-
-from .model import (ModelSpec, SectorError, apply_string, enumerate_determinants,
+from .model import (ModelSpec, SectorError, apply_string, csr_matrix, enumerate_determinants,
                     occupied_orbitals, so_spin)
 
 
@@ -144,13 +142,13 @@ def excitation_entries(graph: ExcitationGraph, mu: ExcitationIndex,
 
 
 def excitation_matrix(graph: ExcitationGraph, mu: ExcitationIndex,
-                      basis: list[int] | None = None) -> sp.csr_matrix:
+                      basis: list[int] | None = None):
     """Matrix of X_mu on the sector basis, sign-folded so X_mu|ref> = +|Phi_mu>."""
     if basis is None:
         basis = enumerate_determinants(graph.n_so, graph.n_up, graph.n_dn)
     rows, cols, phases = excitation_entries(graph, mu, basis,
                                             {d: i for i, d in enumerate(basis)})
-    return sp.csr_matrix((phases, (rows, cols)), shape=(len(basis), len(basis)), dtype=complex)
+    return csr_matrix((phases, (rows, cols)), len(basis))
 
 
 @dataclass(frozen=True)

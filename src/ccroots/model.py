@@ -7,7 +7,8 @@ and determinant bases are kept in ascending bitmask order.  The fermionic
 phase of creating/annihilating in orbital q on a determinant D is
 ``(-1)**(number of occupied orbitals of D with index < q)``; `apply_string`
 is the one place it is computed, for H here and for the excitation
-operators.  Operators are ``scipy.sparse`` CSR matrices on a basis.
+operators.  Operators are (rows, cols, values) entries on a basis; only
+`csr_matrix` imports ``scipy.sparse``, so only ``kp`` loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 UP = 0
 DOWN = 1
@@ -172,12 +172,6 @@ class IntegralTable:
         h2 = {k: v for k, v in h2.items() if v != 0.0}
         return cls(n_spatial, h1, h2, _finite(core_energy, "core energy"))
 
-    def h1_element(self, p: int, q: int) -> float:
-        return self.h1.get(_h1_key(p, q), 0.0)
-
-    def h2_element(self, p: int, q: int, r: int, s: int) -> float:
-        return self.h2.get(_h2_key(p, q, r, s), 0.0)
-
     def h2_expanded(self):
         """Yield every distinct (p,q,r,s) index with its value (orbit unfolded)."""
         for key, v in self.h2.items():
@@ -255,18 +249,22 @@ def build_pairing(n_levels: int, spacing: float, g: float, n_pairs: int,
                      label=f"pairing(n={n_levels},d={spacing:g},g={g:g},pairs={n_pairs})")
 
 
-def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None) -> sp.csr_matrix:
-    """Second-quantized Hamiltonian matrix over a determinant basis.
+def csr_matrix(arg, n: int):
+    """Complex n x n CSR matrix; the package's only import of scipy.sparse."""
+    import scipy.sparse as sp
+    return sp.csr_matrix(arg, shape=(n, n), dtype=complex)
+
+
+def hamiltonian_entries(model: ModelSpec, basis: list[int]) -> tuple:
+    """(rows, cols, values) of H on basis, sorted by (row, col), values complex.
 
     H = sum_pq h1[p,q] a†_pσ a_qσ
       + 1/2 sum_pqrs (pq|rs) a†_pσ a†_rτ a_sτ a_qσ  + core.
 
-    The basis defaults to the model's (n_up, n_dn) sector and must be closed
-    under H (any spin-conserving sector union is).  Entries at or below 1e-15
-    of the largest absolute integral, core energy included, are dropped.
+    The basis must be closed under H (any spin-conserving sector union is).
+    Entries at or below 1e-15 of the largest absolute integral, core energy
+    included, are dropped.
     """
-    if basis is None:
-        basis = model.basis()
     index = {d: i for i, d in enumerate(basis)}
     ints = model.integrals
     strings = [((so_index(q, s),), (so_index(p, s),), v)
@@ -294,10 +292,16 @@ def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None) -> sp
             entries[(row, col)] = entries.get((row, col), 0.0) + v * step[1]
 
     cut = 1e-15 * max(map(abs, [ints.core_energy, *ints.h1.values(), *ints.h2.values()]))
-    entries = {ij: v for ij, v in entries.items() if abs(v) > cut}
-    rows, cols = zip(*entries) if entries else ((), ())
-    return sp.csr_matrix((list(entries.values()), (rows, cols)),
-                         shape=(len(basis), len(basis)), dtype=complex)
+    ij = sorted(k for k, v in entries.items() if abs(v) > cut)
+    rows, cols = np.array(ij, dtype=np.intp).reshape(-1, 2).T
+    return rows, cols, np.array([entries[k] for k in ij], dtype=complex)
+
+
+def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None):
+    """`hamiltonian_entries` on a basis (default: the model's sector) as CSR."""
+    basis = model.basis() if basis is None else basis
+    rows, cols, vals = hamiltonian_entries(model, basis)
+    return csr_matrix((vals, (rows, cols)), len(basis))
 
 
 # --- plain-text integral files ---------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitations import ExcitationGraph, build_graph, excitation_matrix, full_rank
-from .model import ModelSpec, assemble_hamiltonian, enumerate_determinants
+from .model import ModelSpec, enumerate_determinants, hamiltonian_entries
 
 _DIM_CAP = 5000
 _REF_WEIGHT_TOL = 1e-8
@@ -50,7 +50,9 @@ def fci_solve(model: ModelSpec, cap: int = _DIM_CAP) -> FCIResult:
     if len(basis) > cap:
         raise DimensionCapError(
             f"sector dimension {len(basis)} exceeds cap {cap}")
-    h = assemble_hamiltonian(model, basis).toarray()
+    rows, cols, vals = hamiltonian_entries(model, basis)
+    h = np.zeros((len(basis), len(basis)), dtype=complex)
+    h[rows, cols] = vals
     energies, vectors = np.linalg.eigh(h)
     return FCIResult(model, basis, energies, vectors)
 

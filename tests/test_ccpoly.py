@@ -12,9 +12,11 @@ Oracles:
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ccroots.ccpoly import (
     Polynomial,
@@ -22,6 +24,8 @@ from ccroots.ccpoly import (
     QuadratizationError,
     Workspace,
     _PairBlocks,
+    _apply_h,
+    _h_rows,
     _merge,
     _poly_terms_for_json,
     cc_system_for_rank,
@@ -33,8 +37,11 @@ from ccroots.ccpoly import (
     root_bounds,
 )
 from ccroots.excitations import build_graph, excitation_matrix, full_rank
-from ccroots.model import build_hubbard, build_pairing
+from ccroots.model import (assemble_hamiltonian, build_hubbard, build_pairing,
+                           load_integrals)
 from ccroots.oracle import cluster_from_ci, fci_solve, intermediately_normalizable
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "demos" / "models"
 
 SQRT2 = np.sqrt(2.0)
 
@@ -384,6 +391,90 @@ def test_signed_map_matches_excitation_matrices(model):
     # the fused residual-and-Jacobian pass gives both maps bit for bit
     r, J = ws.residuals_and_jacobian(t)
     assert np.array_equal(r, ws.residuals(t)) and np.array_equal(J, ws.jacobian(t))
+
+
+def coo_t_operator(ws, t):
+    """T = sum_k t_k X_k built from COO triplets: the reference for the
+    precomputed-pattern build."""
+    data = ws.x_phase * np.asarray(t, dtype=complex)[:, None]
+    k, col = np.nonzero(data)
+    return sp.csr_matrix((data[k, col], (ws.x_dst[k, col], col)), shape=(ws.dim, ws.dim))
+
+
+@pytest.mark.parametrize("model", [
+    build_pairing(5, 1.0, 0.4, 2),
+    build_hubbard(3, 1.0, 2.0, 1, 1, reference=0b1100),
+    build_hubbard(4, 1.0, 4.0, 2, 2),
+], ids=["pairing5", "hubbard3-1100", "hubbard4-22"])
+def test_t_operator_matches_coo_build(model):
+    # the same CSR arrays as the COO route, zero amplitudes storing nothing
+    ws = Workspace(model, build_graph(model, full_rank(model)))
+    rng = np.random.default_rng(5)
+    v = random_amplitudes(rng, ws.dim)
+    for n in range(200):
+        t = random_amplitudes(rng, len(ws.graph))
+        t[rng.random(len(t)) < n / 200] = 0
+        got, ref = ws.t_operator(t), coo_t_operator(ws, t)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(got @ v, ref @ v)
+        assert np.array_equal(ws.expm_apply(got, ws.e0), ws.expm_apply(ref, ws.e0))
+
+
+# --- H's entries, read without scipy.sparse ------------------------------------
+
+H_MODELS = [
+    build_hubbard(2, 1.0, 4.0, 1, 1),
+    build_hubbard(3, 1.0, 2.5, 1, 1),
+    build_hubbard(3, 1.0, 4.0, 2, 1),
+    build_hubbard(3, 1.0, 2.0, 1, 1, reference=0b100100),
+    build_hubbard(4, 1.0, 13 / 7, 2, 2),
+    build_hubbard(4, 0.7, 3.0, 3, 1),
+    build_pairing(3, 1.0, 0.5, 1),
+    build_pairing(4, 1.0, 0.33, 2),
+    build_pairing(5, 1.0, 0.37, 2),
+    build_pairing(5, 0.5, 1.2, 3),
+    load_integrals(MODELS_DIR / "hubbard_dimer.ints"),
+    load_integrals(MODELS_DIR / "pairing_2level.ints"),
+]
+H_IDS = ["hubbard2-11", "hubbard3-11", "hubbard3-21", "hubbard3-nonaufbau",
+         "hubbard4-22", "hubbard4-31", "pairing3-1", "pairing4-2", "pairing5-2",
+         "pairing5-3", "hubbard_dimer.ints", "pairing_2level.ints"]
+
+
+@pytest.mark.parametrize("model", H_MODELS, ids=H_IDS)
+def test_fci_dense_hamiltonian_equals_csr(model, monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: seen.append(h) or eigh(h))
+    fci_solve(model)
+    ref = assemble_hamiltonian(model).toarray()
+    assert seen[0].dtype == ref.dtype and np.array_equal(seen[0], ref)
+
+
+@pytest.mark.parametrize("model", H_MODELS, ids=H_IDS)
+def test_generation_reads_csc_columns_of_h(model):
+    # H on every basis vector through _apply_h gives H.tocsc() column by
+    # column: rows ascending, values unchanged
+    ws = Workspace(model, build_graph(model, 1))
+    keys, rows, vals = _apply_h(ws, (np.arange(ws.dim, dtype=np.uint64),
+                                     np.arange(ws.dim), np.ones(ws.dim, dtype=complex)))
+    hc = ws.H.tocsc()
+    assert np.array_equal(np.searchsorted(keys, np.arange(ws.dim + 1)), hc.indptr)
+    assert np.array_equal(rows, hc.indices)
+    assert vals.dtype == hc.data.dtype and np.array_equal(vals, hc.data)
+
+
+@pytest.mark.parametrize("model", H_MODELS, ids=H_IDS)
+def test_quadratize_reads_csr_rows_of_h(model):
+    ws = Workspace(model, build_graph(model, 1))
+    rows = _h_rows(ws)
+    assert len(rows) == ws.dim
+    for i, (cols, vals) in enumerate(rows):
+        ref = ws.H.getrow(i).tocoo()
+        assert np.array_equal(cols, ref.col)
+        assert vals.dtype == ref.data.dtype and np.array_equal(vals, ref.data)
 
 
 def test_pair_phase_fails_loudly_on_annihilation():

@@ -64,15 +64,57 @@ def test_checker_flags_unused_and_accepts_used():
     assert unused_imports(source) == ["dataclass", "field", "sp"]
 
 
-def test_cli_import_skips_dense_and_sparse_linalg():
-    # scipy.linalg and scipy.sparse.linalg would add about 80 ms and 6 MB to
-    # every command; numpy.linalg serves the tracker and basin scans
+def _python(code, *args, cwd=None):
+    """Run code in a fresh interpreter on this checkout; returns stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + ([os.environ["PYTHONPATH"]]
                                  if os.environ.get("PYTHONPATH") else [])))
-    r = subprocess.run(
-        [sys.executable, "-c", "import sys, ccroots.cli; print(' '.join(sorted(sys.modules)))"],
-        capture_output=True, text=True, env=env, check=True)
-    loaded = set(r.stdout.split())
-    assert "ccroots.cli" in loaded
-    assert not loaded & {"scipy.linalg", "scipy.sparse.linalg"}
+    r = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                       capture_output=True, text=True, env=env, cwd=cwd)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_cli_import_skips_dense_and_sparse_linalg():
+    # scipy.linalg and scipy.sparse.linalg would add about 80 ms and 6 MB to
+    # every command, and scipy.sparse about 0.2 s and 20 MB; numpy.linalg
+    # serves the tracker and basin scans, and only a sparse product loads
+    # scipy.sparse
+    out = _python("import sys\n"
+                  "import ccroots\n"
+                  "print(' '.join(sorted(sys.modules)))\n"
+                  "import ccroots.cli\n"
+                  "print(' '.join(sorted(sys.modules)))\n")
+    package, cli = (set(line.split()) for line in out.splitlines())
+    assert "ccroots" in package and "ccroots.cli" in cli
+    for loaded in (package, cli):
+        assert not loaded & {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"}
+
+
+# model -> system (plain and quadratized) -> solve -> verify -> fractal on the
+# Hubbard dimer, in one process; then kp, which runs sparse products
+_CHAIN = """
+import sys
+from ccroots.cli import main
+
+runs = [
+    ["model", "--hubbard", "2,1,4", "--nelec", "1,1", "-o", "m.json"],
+    ["system", "--model", "m.json", "--rank", "full", "-o", "s.json"],
+    ["system", "--model", "m.json", "--rank", "2", "--quadratize", "-o", "q.json"],
+    ["solve", "--system", "s.json", "--seed", "3", "--workers", "1", "-o", "sol.json"],
+    ["verify", "--model", "m.json", "--solutions", "sol.json", "-o", "v.json"],
+    ["fractal", "--poly", "z^3-1", "--res", "16", "-o", "p.ppm"],
+    ["fractal", "--system", "s.json", "--slice", "1,1,1", "--res", "16", "-o", "s.ppm"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+print("sparse loaded:", "scipy.sparse" in sys.modules)
+assert main(["kp", "--model", "m.json", "--rho", "2", "--workers", "1", "-o", "kp"]) == 0
+print("sparse loaded:", "scipy.sparse" in sys.modules)
+"""
+
+
+def test_only_kp_loads_scipy_sparse(tmp_path):
+    out = _python(_CHAIN, cwd=tmp_path)
+    flags = [line for line in out.splitlines() if line.startswith("sparse loaded:")]
+    assert flags == ["sparse loaded: False", "sparse loaded: True"]

@@ -5,12 +5,24 @@ import pytest
 
 from ccroots.model import (
     IntegralFormatError,
+    _h1_key,
+    _h2_key,
     assemble_hamiltonian,
     build_hubbard,
     build_pairing,
     load_integrals,
     save_integrals,
 )
+
+
+def h1_element(table, p, q):
+    """h1[p, q] through the table's symmetry folding; 0 where absent."""
+    return table.h1.get(_h1_key(p, q), 0.0)
+
+
+def h2_element(table, p, q, r, s):
+    """(pq|rs) through the table's symmetry folding; 0 where absent."""
+    return table.h2.get(_h2_key(p, q, r, s), 0.0)
 
 
 def test_roundtrip_pairing(tmp_path):
@@ -60,8 +72,8 @@ def test_comments_and_blank_lines(tmp_path):
         "-1 1 2 0 0   # hopping\n"
         "4 1 1 1 1\n")
     model = load_integrals(path)
-    assert model.integrals.h1_element(0, 1) == -1.0
-    assert model.integrals.h2_element(0, 0, 0, 0) == 4.0
+    assert h1_element(model.integrals, 0, 1) == -1.0
+    assert h2_element(model.integrals, 0, 0, 0, 0) == 4.0
     assert model.integrals.core_energy == 0.5
 
 
@@ -71,7 +83,7 @@ def test_one_electron_marker_rows(tmp_path):
     path.write_text("norb=2 nup=1 ndn=1 core=0\n0.25 1 2 1 2\n")
     model = load_integrals(path)
     assert model.integrals.h1 == {}
-    assert model.integrals.h2_element(0, 1, 0, 1) == 0.25
+    assert h2_element(model.integrals, 0, 1, 0, 1) == 0.25
 
 
 @pytest.mark.parametrize("body, lineno", [

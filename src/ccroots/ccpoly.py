@@ -12,13 +12,16 @@ introducing one auxiliary variable per double excitation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .excitations import ExcitationGraph, build_graph, excitation_entries
-from .model import ModelSpec, csr_matrix, enumerate_determinants, hamiltonian_entries
+from .excitations import ExcitationGraph, build_graph, excitation_map
+from .model import (ModelSpec, _first_occurrence, _merge, csr_matrix, enumerate_determinants,
+                    hamiltonian_entries)
 
 _BCH_ORDER = 4          # nested commutators of a two-body H vanish past this
 _PRUNE_REL = 1e-14      # coefficient prune threshold, relative per equation
@@ -182,8 +185,17 @@ class PolynomialSystem:
                               for eq in self.equations],
                 "metadata": self.metadata}
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), indent=2, **kwargs)
+    def to_json(self) -> str:
+        """Exactly `json.dumps(self.to_dict(), indent=2)`, with the terms written
+        directly: the indenting encoder runs in pure Python."""
+        eqs = [_terms_json(_poly_terms_for_json(eq, self.var_names)) for eq in self.equations]
+        text = json.dumps({"variables": self.var_names, "equations": [],
+                           "metadata": self.metadata}, indent=2)
+        if not eqs:
+            return text
+        # JSON strings hold no raw newline and metadata keys sit deeper, so this is the key
+        return text.replace('\n  "equations": []',
+                            '\n  "equations": [\n' + ",\n".join(eqs) + "\n  ]", 1)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolynomialSystem":
@@ -213,11 +225,8 @@ class Workspace:
         self.dim = len(self.basis)
         self.ref_idx = self.index[model.reference]
         self.h_entries = hamiltonian_entries(model, self.basis)
-        self.x_dst = np.full((len(graph), self.dim), self.dim, dtype=np.intp)
-        self.x_phase = np.zeros((len(graph), self.dim))
-        for k, mu in enumerate(graph.indices):
-            rows, cols, phases = excitation_entries(graph, mu, self.basis, self.index)
-            self.x_dst[k, cols], self.x_phase[k, cols] = rows, phases
+        self.x_dst, self.x_phase = excitation_map(graph, graph.indices,
+                                                  np.array(self.basis, dtype=np.uint64))
         self.target_idx = np.array([self.index[mu.target(model.reference)]
                                     for mu in graph.indices])
         k, col = np.nonzero(self.x_phase)         # T's CSR pattern, by (row, col)
@@ -319,29 +328,6 @@ class CCSystem:
 _EMPTY = 0xFFFF
 
 
-def _first_occurrence(keys) -> np.ndarray:
-    """Index of each key's first occurrence, a position in first-occurrence order."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first[inverse]
-
-
-def _merge(keys, rows, vals) -> tuple:
-    """Sum the values of equal (key, row) pairs, each sum a left fold from 0 in
-    input order, as dense vector sums run (np.add.reduceat would regroup).
-    Returns the input index of each pair's first entry and its sum, sorted
-    by (first occurrence of the key, row), zero sums dropped."""
-    pos = _first_occurrence(keys)
-    order = np.lexsort((rows, pos))
-    start = np.flatnonzero(np.diff(pos[order], prepend=-1) | np.diff(rows[order], prepend=-1))
-    size = np.diff(np.append(start, len(order)))
-    total = np.zeros(len(start), dtype=complex)
-    for j in range(size.max(initial=0)):
-        live = np.flatnonzero(size > j)
-        total[live] += vals[order[start[live] + j]]
-    keep = total != 0
-    return order[start[keep]], total[keep]
-
-
 def _excite_level(ws: Workspace, level: tuple, scale: float) -> tuple:
     """scale * T(level) over the keys below the degree cap; the products run
     in (source key, nu) order."""
@@ -427,6 +413,24 @@ def generate_system(model: ModelSpec, graph: ExcitationGraph) -> CCSystem:
 def _poly_terms_for_json(poly: Polynomial, names: list) -> list:
     return [[c.real, c.imag, {names[v]: e for v, e in mono}]
             for mono, c in poly.sorted_terms(len(names))]
+
+
+def _number(x) -> str:
+    """`json.dumps(x)` for a number, without the encoder's set-up."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return int.__repr__(x) if type(x) is int else json.dumps(x)
+
+
+def _terms_json(terms: list) -> str:
+    """One equation's terms as `json.dumps(..., indent=2)` writes them two levels deep."""
+    items = []
+    for re_c, im_c, mono in terms:
+        m = ",\n".join(f"          {encode_basestring_ascii(v)}: {_number(e)}"
+                       for v, e in mono.items())
+        items.append(f"      [\n        {_number(re_c)},\n        {_number(im_c)},\n        "
+                     + ("{\n" + m + "\n        }" if mono else "{}") + "\n      ]")
+    return "    [\n" + ",\n".join(items) + "\n    ]" if items else "    []"
 
 
 def poly_from_json_terms(terms: list, names: list) -> Polynomial:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (ModelSpec, SectorError, apply_string, csr_matrix, enumerate_determinants,
-                    occupied_orbitals, so_spin)
+                    lookup, occupied_orbitals, so_spin)
 
 
 @dataclass(frozen=True, order=True)
@@ -111,34 +113,33 @@ def build_graph(model: ModelSpec, rank_max: int) -> ExcitationGraph:
                            rank_max, tuple(indices))
 
 
-def reference_sign(mu: ExcitationIndex, reference: int) -> int:
-    """Raw phase of X_mu on the reference; folded out of the stored matrix."""
-    step = apply_string(reference, mu.holes, mu.particles)
-    if step is None:
-        raise SectorError(f"excitation {mu.name()} does not act on the reference")
-    return step[1]
+def excitation_map(graph: ExcitationGraph, mus, basis) -> tuple:
+    """Rows and phases of each X_mu on every column of `basis` (uint64, any
+    order), each (len(mus), len(basis)); row len(basis) and phase 0 where X_mu
+    annihilates.  Column 0 of the one `apply_string` call is the reference,
+    whose phase is folded out so that X_mu|ref> = +|Phi_mu>.
+    """
+    new, phase, gone = apply_string(np.append(np.uint64(graph.reference), basis),
+                                    [mu.holes for mu in mus], [mu.particles for mu in mus])
+    if gone[:, 0].any():
+        raise SectorError(f"excitation {mus[gone[:, 0].argmax()].name()} "
+                          "does not act on the reference")
+    rows = np.where(gone[:, 1:], len(basis), lookup(basis, new[:, 1:]))
+    if (rows < 0).any():
+        raise SectorError(f"basis not closed under {mus[np.nonzero(rows < 0)[0][0]].name()}")
+    return rows, np.where(gone[:, 1:], 0.0, phase[:, 1:] * phase[:, :1])
 
 
 def excitation_entries(graph: ExcitationGraph, mu: ExcitationIndex,
                        basis: list[int], index: dict) -> tuple:
     """(rows, cols, phases) of X_mu on basis, sign-folded so X_mu|ref> = +|Phi_mu>.
 
-    `index` maps each determinant of `basis` to its position.  X_mu
-    annihilates holes (ascending), then creates particles (ascending).
+    X_mu annihilates holes (ascending), then creates particles (ascending).
+    `index`, each determinant's position in `basis`, is implied by `basis`.
     """
-    sigma = reference_sign(mu, graph.reference)
-    rows, cols, phases = [], [], []
-    for col, det in enumerate(basis):
-        step = apply_string(det, mu.holes, mu.particles)
-        if step is None:
-            continue
-        row = index.get(step[0])
-        if row is None:
-            raise SectorError(f"basis not closed under {mu.name()}")
-        rows.append(row)
-        cols.append(col)
-        phases.append(step[1] * sigma)
-    return rows, cols, phases
+    rows, phases = excitation_map(graph, [mu], np.array(basis, dtype=np.uint64))
+    cols = np.flatnonzero(phases[0])
+    return rows[0, cols], cols, phases[0, cols]
 
 
 def excitation_matrix(graph: ExcitationGraph, mu: ExcitationIndex,
@@ -148,7 +149,9 @@ def excitation_matrix(graph: ExcitationGraph, mu: ExcitationIndex,
         basis = enumerate_determinants(graph.n_so, graph.n_up, graph.n_dn)
     rows, cols, phases = excitation_entries(graph, mu, basis,
                                             {d: i for i, d in enumerate(basis)})
-    return csr_matrix((phases, (rows, cols)), len(basis))
+    order = np.argsort(rows)                # X_mu is injective: one entry per row at most
+    indptr = np.searchsorted(rows[order], np.arange(len(basis) + 1))
+    return csr_matrix((phases[order], cols[order], indptr), len(basis))
 
 
 @dataclass(frozen=True)

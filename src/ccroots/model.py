@@ -7,8 +7,9 @@ and determinant bases are kept in ascending bitmask order.  The fermionic
 phase of creating/annihilating in orbital q on a determinant D is
 ``(-1)**(number of occupied orbitals of D with index < q)``; `apply_string`
 is the one place it is computed, for H here and for the excitation
-operators.  Operators are (rows, cols, values) entries on a basis; only
-`csr_matrix` imports ``scipy.sparse``, so only ``kp`` loads it.
+operators, on a batch of strings and a ``uint64`` array of determinants.
+Operators are (rows, cols, values) entries on a basis in any order (see
+`lookup`); only `csr_matrix` imports ``scipy.sparse``, so only ``kp`` loads it.
 """
 
 from __future__ import annotations
@@ -72,21 +73,57 @@ def count_up_dn(det: int) -> tuple[int, int]:
     return up, det.bit_count() - up
 
 
-def apply_string(det: int, annihilations, creations) -> tuple[int, int] | None:
-    """Apply a_q for q in annihilations, in order, then a†_q for q in creations.
-
-    Returns (new det, phase) or None when the string annihilates det.  This
-    is the one place a fermionic phase is computed.
+def apply_string(dets, annihilations, creations) -> tuple:
+    """Apply each of S strings to every determinant of a uint64 array: a_q for
+    q in annihilations[s], in order, then a†_q for q in creations[s].  Returns
+    (new dets, phases +-1, annihilated), each (S, len(dets)); where annihilated,
+    det and phase mean nothing.  A string flips fixed bits and needs fixed
+    values on the bits it touches; its phase is the parity of det on the XOR
+    of its masks (bit - 1), corrected for the bits it flipped under each.
     """
-    phase = 1
-    for orbitals, filled in ((annihilations, 1), (creations, 0)):
-        for q in orbitals:
-            if (det >> q & 1) != filled:
-                return None
-            if (det & ((1 << q) - 1)).bit_count() & 1:
-                phase = -phase
-            det ^= 1 << q
-    return det, phase
+    table = []                  # per string: flip, need, want, low, odd
+    for ann, cre in zip(annihilations, creations):
+        flip = need = want = low = odd = bad = 0
+        for q, filled in [(int(q), 1) for q in ann] + [(int(q), 0) for q in cre]:
+            bit, req = 1 << q, ((flip >> q & 1) ^ filled) << q   # det's bit q must be req
+            bad |= bool(need & bit) and want & bit != req
+            need, want, low = need | bit, want | req, low ^ (bit - 1)
+            odd ^= (flip & (bit - 1)).bit_count() & 1   # bits flipped under the mask
+            flip ^= bit
+        table.append((flip, 0, 1, low, odd) if bad else (flip, need, want, low, odd))
+    flip, need, want, low, odd = np.array(table, dtype=np.uint64).reshape(-1, 5).T[..., None]
+    parity = (np.bitwise_count(dets & low) ^ odd) & 1
+    return dets ^ flip, np.where(parity, -1, 1), dets & need != want
+
+
+def lookup(basis: np.ndarray, dets) -> np.ndarray:
+    """Position in `basis` (a uint64 array, any order) of each of `dets`, -1 where absent."""
+    order = np.argsort(basis)
+    at = order[np.searchsorted(basis, dets, sorter=order).clip(max=len(basis) - 1)]
+    return np.where(basis[at] == dets, at, -1)
+
+
+def _first_occurrence(keys) -> np.ndarray:
+    """Index of each key's first occurrence, a position in first-occurrence order."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _merge(keys, rows, vals) -> tuple:
+    """Sum the values of equal (key, row) pairs, each sum a left fold from 0 in
+    input order, as dense vector sums run (np.add.reduceat would regroup).
+    Returns the input index of each pair's first entry and its sum, sorted
+    by (first occurrence of the key, row), zero sums dropped."""
+    pos = _first_occurrence(keys)
+    order = np.lexsort((rows, pos))
+    start = np.flatnonzero(np.diff(pos[order], prepend=-1) | np.diff(rows[order], prepend=-1))
+    size = np.diff(np.append(start, len(order)))
+    total = np.zeros(len(start), dtype=complex)
+    for j in range(size.max(initial=0)):
+        live = np.flatnonzero(size > j)
+        total[live] += vals[order[start[live] + j]]
+    keep = total != 0
+    return order[start[keep]], total[keep]
 
 
 def enumerate_determinants(n_so: int, n_up: int, n_dn: int) -> list[int]:
@@ -265,36 +302,31 @@ def hamiltonian_entries(model: ModelSpec, basis: list[int]) -> tuple:
     Entries at or below 1e-15 of the largest absolute integral, core energy
     included, are dropped.
     """
-    index = {d: i for i, d in enumerate(basis)}
     ints = model.integrals
-    strings = [((so_index(q, s),), (so_index(p, s),), v)
-               for (p, q), v in ints.h1.items() for s in (UP, DOWN)]
+    # the core energy is the empty string; a zero core adds 0.0 to a fold from 0
+    strings = [((), (), ints.core_energy)]
+    strings += [((so_index(q, s),), (so_index(p, s),), v)
+                for (p, q), v in ints.h1.items() for s in (UP, DOWN)]
     strings += [((so_index(p, s),), (so_index(q, s),), v)
                 for (p, q), v in ints.h1.items() if p != q for s in (UP, DOWN)]
     strings += [((so_index(q, s), so_index(ss, t)), (so_index(r, t), so_index(p, s)), 0.5 * v)
                 for (p, q, r, ss), v in ints.h2_expanded()
                 for s in (UP, DOWN) for t in (UP, DOWN)]
-    # a string needs every orbital it annihilates filled: one test skips most
-    strings = [(sum({1 << q for q in a}), a, c, v) for a, c, v in strings]
-    entries = {}
-    for col, det in enumerate(basis):
-        if ints.core_energy:
-            entries[(col, col)] = entries.get((col, col), 0.0) + ints.core_energy
-        for need, annihilations, creations, v in strings:
-            if det & need != need:
-                continue
-            step = apply_string(det, annihilations, creations)
-            if step is None:
-                continue
-            row = index.get(step[0])
-            if row is None:
-                raise SectorError(f"basis not closed: reached determinant {step[0]:#x}")
-            entries[(row, col)] = entries.get((row, col), 0.0) + v * step[1]
+    annihilations, creations, coeffs = zip(*strings)
+    dets = np.array(basis, dtype=np.uint64)
+    new, phase, gone = apply_string(dets, annihilations, creations)
+    col, k = np.nonzero(~gone.T)                 # by column, then by string
+    row = lookup(dets, new[k, col])
+    if (row < 0).any():
+        lost = int(new[k, col][row < 0][0])
+        raise SectorError(f"basis not closed: reached determinant {lost:#x}")
+    idx, total = _merge(col, row, np.array(coeffs)[k] * phase[k, col])
 
     cut = 1e-15 * max(map(abs, [ints.core_energy, *ints.h1.values(), *ints.h2.values()]))
-    ij = sorted(k for k, v in entries.items() if abs(v) > cut)
-    rows, cols = np.array(ij, dtype=np.intp).reshape(-1, 2).T
-    return rows, cols, np.array([entries[k] for k in ij], dtype=complex)
+    keep = np.abs(total) > cut
+    row, col, total = row[idx[keep]], col[idx[keep]], total[keep]
+    order = np.lexsort((col, row))
+    return row[order], col[order], total[order]
 
 
 def assemble_hamiltonian(model: ModelSpec, basis: list[int] | None = None):

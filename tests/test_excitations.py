@@ -12,12 +12,20 @@ from ccroots.excitations import (
     AmplitudeSplit,
     ExcitationIndex,
     build_graph,
+    excitation_entries,
     excitation_matrix,
     full_rank,
-    reference_sign,
     split,
 )
-from ccroots.model import SectorError, build_hubbard, build_pairing
+from ccroots.model import SectorError, apply_string, build_hubbard, build_pairing
+
+
+def reference_sign(mu, reference):
+    """Raw phase of X_mu on the reference, the sign folded out of its matrix."""
+    _, phase, gone = apply_string(np.array([reference], dtype=np.uint64),
+                                  [mu.holes], [mu.particles])
+    assert not gone[0, 0]
+    return int(phase[0, 0])
 
 
 def dimer():
@@ -177,3 +185,24 @@ def test_split_blocks():
         split(g, 1)
     with pytest.raises(SectorError):
         split(g, 5)
+
+
+@pytest.mark.parametrize("model", [dimer(), pairing42(), build_hubbard(3, 1.0, 2.0, 2, 1),
+                                   build_hubbard(3, 1.0, 4.0, 1, 1, reference=0b001100)],
+                         ids=["dimer", "pairing42", "hubbard3-21", "hubbard3-nonaufbau"])
+def test_excitation_matrix_arrays_match_coo_build(model):
+    # the CSR arrays built row-sorted from the entries equal scipy's COO -> CSR
+    # build; on a shuffled basis the entries do not come row-sorted
+    import scipy.sparse as sp
+
+    g = build_graph(model, full_rank(model))
+    shuffled = [model.basis()[i] for i in np.random.default_rng(3).permutation(len(model.basis()))]
+    for basis in (model.basis(), shuffled):
+        index = {d: i for i, d in enumerate(basis)}
+        for mu in g.indices:
+            rows, cols, phases = excitation_entries(g, mu, basis, index)
+            want = sp.csr_matrix((phases, (rows, cols)), shape=(len(basis),) * 2, dtype=complex)
+            got = excitation_matrix(g, mu, basis)
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)

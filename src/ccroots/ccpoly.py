@@ -61,16 +61,6 @@ class Polynomial:
     def degree(self) -> int:
         return max((mono_degree(m) for m in self.terms), default=0)
 
-    def evaluate(self, x) -> complex:
-        x = np.asarray(x)
-        total = 0j
-        for mono, c in self.terms.items():
-            p = c
-            for v, e in mono:
-                p = p * x[v] ** e
-            total += p
-        return total
-
     def diff(self, var) -> "Polynomial":
         out = {}
         for mono, c in self.terms.items():
@@ -128,14 +118,23 @@ def _monomial_table(polys: list, n_vars: int) -> tuple:
     return np.arange(dmax + 1)[:, None], factors, coeffs
 
 
-def _evaluate_table(table: tuple, x) -> np.ndarray:
-    """All polynomials of a monomial table at x (..., n_vars): (..., n_polys).
+def _monomials(table: tuple, x) -> np.ndarray:
+    """Every monomial of a table at x (..., n_vars): (..., n_monomials), so
+    `_monomials(table, x) @ table[2]` is every polynomial of the table.
 
     A monomial is the product of its own factors only: the unit powers the
-    other variables would contribute change no finite product."""
-    power, factors, coeffs = table
+    other variables would contribute change no finite product.  A single point
+    is indexed without the ellipsis, whose handling costs more than the gather;
+    both forms give the same array."""
+    power, factors = table[:2]
     powers = np.asarray(x, dtype=complex)[..., None, :] ** power
-    return powers.reshape(powers.shape[:-2] + (-1,))[..., factors].prod(axis=-1) @ coeffs
+    flat = powers.reshape(powers.shape[:-2] + (-1,))
+    return (flat[factors] if flat.ndim == 1 else flat[..., factors]).prod(axis=-1)
+
+
+def _with_jacobian(polys: list, n_vars: int) -> list:
+    """The polynomials, then their partial derivatives row-major."""
+    return polys + [p.diff(v) for p in polys for v in range(n_vars)]
 
 
 class PolynomialSystem:
@@ -145,7 +144,7 @@ class PolynomialSystem:
         self.equations = list(equations)
         self.var_names = list(var_names)
         self.metadata = dict(metadata or {})
-        self._compiled = self._jac_compiled = None   # tables of F and of F with J, built on first use
+        self._compiled = self._jac_compiled = self._homotopy_compiled = None  # built on first use
 
     @property
     def n_vars(self) -> int:
@@ -162,21 +161,34 @@ class PolynomialSystem:
         """Evaluate at x of shape (n_vars,) or batched (..., n_vars)."""
         if self._compiled is None:
             self._compiled = _monomial_table(self.equations, self.n_vars)
-        return _evaluate_table(self._compiled, x)
+        return _monomials(self._compiled, x) @ self._compiled[2]
 
     def evaluate_and_jacobian(self, x) -> tuple:
         """F (..., n_eqs) and its Jacobian (..., n_eqs, n_vars) from one table pass."""
         if self._jac_compiled is None:
-            self._jac_compiled = _monomial_table(
-                self.equations + [eq.diff(v) for eq in self.equations
-                                  for v in range(self.n_vars)], self.n_vars)
-        out = _evaluate_table(self._jac_compiled, x)
+            self._jac_compiled = _monomial_table(_with_jacobian(self.equations, self.n_vars),
+                                                 self.n_vars)
+        out = _monomials(self._jac_compiled, x) @ self._jac_compiled[2]
         n = self.n_eqs
         return out[..., :n], out[..., n:].reshape(out.shape[:-1] + (n, self.n_vars))
 
     def jacobian(self, x) -> np.ndarray:
         """Jacobian at x; batched like evaluate, result (..., n_eqs, n_vars)."""
         return self.evaluate_and_jacobian(x)[1]
+
+    def total_degree_table(self, degrees) -> tuple:
+        """(table, C_F, C_G) of F and J, and of G_i = x_i^{d_i} - 1 and its
+        Jacobian, on one monomial table; C_F and C_G have one row per output
+        (n values, then J row-major) and one column per monomial."""
+        key = tuple(int(d) for d in degrees)
+        if self._homotopy_compiled is None or self._homotopy_compiled[0] != key:
+            n = self.n_vars
+            start = [Polynomial({((i, d),): 1.0, (): -1.0}) for i, d in enumerate(key)]
+            power, factors, coeffs = _monomial_table(
+                _with_jacobian(self.equations, n) + _with_jacobian(start, n), n)
+            c_f, c_g = np.vsplit(np.ascontiguousarray(coeffs.T), 2)
+            self._homotopy_compiled = key, ((power, factors), c_f, c_g)
+        return self._homotopy_compiled[1]
 
     # serialization: term order is graded lexicographic in the exponent vector
     def to_dict(self) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -79,20 +80,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-
-
-def _write_text(path: str, text: str) -> None:
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_bytes(path: str, data: bytes) -> None:
-    _ensure_parent(path)
-    with open(path, "wb") as fh:
+def _write(path: str, data: str | bytes) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    binary = isinstance(data, bytes)
+    with open(path, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
         fh.write(data)
 
 
@@ -132,7 +123,7 @@ def _write_manifest(primary: str, argv: list, seed: int | None,
         "outputs": {p: _sha256(p) for p in sorted(set(outputs))},
     }
     path = primary + ".manifest.json"
-    _write_text(path, _json_text(manifest))
+    _write(path, _json_text(manifest))
     return path
 
 
@@ -143,22 +134,13 @@ def _check_seed_and_workers(args) -> None:
         raise CliError(f"worker count must be >= 1, got {args.workers}")
 
 
-def _parse_floats(text: str, n: int, what: str) -> list:
+def _parse_numbers(text: str, n: int, what: str, kind=float) -> list:
     parts = text.split(",")
     if len(parts) != n:
-        raise CliError(f"{what} needs {n} comma-separated values, got {text!r}")
+        noun = "integers" if kind is int else "values"
+        raise CliError(f"{what} needs {n} comma-separated {noun}, got {text!r}")
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise CliError(f"{what}: {exc}") from exc
-
-
-def _parse_ints(text: str, n: int, what: str) -> list:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise CliError(f"{what} needs {n} comma-separated integers, got {text!r}")
-    try:
-        return [int(p) for p in parts]
+        return [kind(p) for p in parts]
     except ValueError as exc:
         raise CliError(f"{what}: {exc}") from exc
 
@@ -187,8 +169,8 @@ def cmd_model(args, argv) -> int:
     inputs = []
     reference = None
     if args.reference is not None:
-        occ = _parse_ints(args.reference, len(args.reference.split(",")),
-                          "--reference")
+        occ = _parse_numbers(args.reference, len(args.reference.split(",")),
+                             "--reference", int)
         if len(set(occ)) != len(occ) or any(q < 0 for q in occ):
             raise CliError(f"--reference must list distinct non-negative "
                            f"spin orbitals, got {args.reference!r}")
@@ -197,13 +179,14 @@ def cmd_model(args, argv) -> int:
             reference |= 1 << q
 
     try:
+        n_up, n_dn = (None, None) if args.nelec is None else _parse_numbers(
+            args.nelec, 2, "--nelec", int)
         if args.hubbard is not None:
             if args.nelec is None:
                 raise CliError("--hubbard requires --nelec UP,DN")
             sites_s, t_s, u_s = (args.hubbard.split(",") + ["", ""])[:3]
             if args.hubbard.count(",") != 2:
                 raise CliError(f"--hubbard needs SITES,T,U, got {args.hubbard!r}")
-            n_up, n_dn = _parse_ints(args.nelec, 2, "--nelec")
             model = build_hubbard(int(sites_s), float(t_s), float(u_s),
                                   n_up, n_dn, reference=reference)
         elif args.pairing is not None:
@@ -213,16 +196,11 @@ def cmd_model(args, argv) -> int:
             lv_s, sp_s, g_s, pr_s = args.pairing.split(",")
             model = build_pairing(int(lv_s), float(sp_s), float(g_s),
                                   int(pr_s), reference=reference)
-            if args.nelec is not None:
-                n_up, n_dn = _parse_ints(args.nelec, 2, "--nelec")
-                if (n_up, n_dn) != (model.n_up, model.n_dn):
-                    raise CliError(f"--nelec {args.nelec} contradicts "
-                                   f"--pairing with {pr_s} pairs")
+            if args.nelec is not None and (n_up, n_dn) != (model.n_up, model.n_dn):
+                raise CliError(f"--nelec {args.nelec} contradicts "
+                               f"--pairing with {pr_s} pairs")
         else:
             inputs.append(args.integrals)
-            n_up = n_dn = None
-            if args.nelec is not None:
-                n_up, n_dn = _parse_ints(args.nelec, 2, "--nelec")
             model = load_integrals(args.integrals, n_up=n_up, n_dn=n_dn,
                                    reference=reference)
     except (ValueError, SectorError, SymmetryError, IntegralFormatError) as exc:
@@ -230,7 +208,7 @@ def cmd_model(args, argv) -> int:
     except OSError as exc:
         raise CliError(f"cannot read integrals: {exc}") from exc
 
-    _write_text(args.output, _json_text(model_to_dict(model)))
+    _write(args.output, _json_text(model_to_dict(model)))
     _write_manifest(args.output, argv, None, inputs, [args.output])
     print(f"wrote {args.output}: {model.label}, {model.n_so} spin orbitals, "
           f"sector dimension {model.sector_dimension()}")
@@ -257,7 +235,7 @@ def cmd_system(args, argv) -> int:
     except SectorError as exc:
         raise CliError(str(exc)) from exc
 
-    _write_text(args.output, system.to_json() + "\n")
+    _write(args.output, system.to_json() + "\n")
     _write_manifest(args.output, argv, None, [args.model], [args.output])
     bounds = system.metadata.get("bounds", {})
     print(f"wrote {args.output}: {system.n_eqs} equations in "
@@ -277,7 +255,7 @@ def cmd_solve(args, argv) -> int:
         raise CliError(f"system file {args.system!r} is malformed: {exc}") from exc
 
     outputs = [args.output]
-    _write_text(args.output, _json_text(sol.to_dict()))
+    _write(args.output, _json_text(sol.to_dict()))
     if args.trace_dir is not None:
         os.makedirs(args.trace_dir, exist_ok=True)
         width = max(4, len(str(max(sol.n_paths - 1, 0))))
@@ -288,7 +266,7 @@ def cmd_solve(args, argv) -> int:
                 rows.append(",".join([repr(float(lam))] + [
                     f"{float(v.real)!r},{float(v.imag)!r}" for v in x]))
             path = os.path.join(args.trace_dir, f"path_{p.index:0{width}d}.csv")
-            _write_text(path, "\n".join(rows) + "\n")
+            _write(path, "\n".join(rows) + "\n")
             outputs.append(path)
     _write_manifest(args.output, argv, args.seed, [args.system], outputs)
 
@@ -357,7 +335,7 @@ def cmd_kp(args, argv) -> int:
 
     csv_path = args.output + ".trajectory.csv"
     json_path = args.output + ".bundle.json"
-    _write_text(csv_path, trajectory_csv(prob, traj))
+    _write(csv_path, trajectory_csv(prob, traj))
 
     report = {
         "model": model.label,
@@ -383,7 +361,7 @@ def cmd_kp(args, argv) -> int:
     if traj.endpoint_status == "reached_full":
         bundle = energy_error_bundle(prob, state0, traj.endpoint.t_full)
         report["bundle"] = bundle.as_dict()
-    _write_text(json_path, _json_text(report))
+    _write(json_path, _json_text(report))
     _write_manifest(args.output, argv, args.seed, inputs, [csv_path, json_path])
 
     print(f"{traj.endpoint_status} after {traj.steps} steps "
@@ -394,7 +372,7 @@ def cmd_kp(args, argv) -> int:
 
 
 def cmd_fractal(args, argv) -> int:
-    window = tuple(_parse_floats(args.window, 4, "--window"))
+    window = tuple(_parse_numbers(args.window, 4, "--window"))
     if args.res < 1:
         raise CliError(f"--res must be >= 1, got {args.res}")
     if args.max_iters < 1:
@@ -413,9 +391,8 @@ def cmd_fractal(args, argv) -> int:
             parts = args.slice.split("|")
             if len(parts) > 2:
                 raise CliError("--slice takes DIR or DIR|BASE")
-            direction = _parse_floats(parts[0], system.n_vars,
-                                      "--slice direction")
-            base = (_parse_floats(parts[1], system.n_vars, "--slice base")
+            direction = _parse_numbers(parts[0], system.n_vars, "--slice direction")
+            base = (_parse_numbers(parts[1], system.n_vars, "--slice base")
                     if len(parts) == 2 else [0.0] * system.n_vars)
             grid = slice_scan(system, base, direction, window, args.res,
                               max_iters=args.max_iters, label=args.slice)
@@ -426,7 +403,7 @@ def cmd_fractal(args, argv) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    _write_bytes(args.output, render_ppm(grid))
+    _write(args.output, render_ppm(grid))
     _write_manifest(args.output, argv, None, inputs, [args.output])
     print(f"wrote {args.output}: {grid.nx}x{grid.ny}, {len(grid.roots)} roots, "
           f"{int((grid.root_index >= 0).sum())}/{grid.nx * grid.ny} pixels converged")
@@ -483,7 +460,7 @@ def cmd_verify(args, argv) -> int:
         "unmatched_eigenstates": unmatched_eigenstates,
         "all_matched": not unmatched_solutions and not unmatched_eigenstates,
     }
-    _write_text(args.output, _json_text(report))
+    _write(args.output, _json_text(report))
     _write_manifest(args.output, argv, None, [args.model, args.solutions],
                     [args.output])
     print(f"matched {len(matched)}/{len(energies)} solutions to "
@@ -622,10 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)     # one per process: parsing keeps no state in it
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, argv)
     except CliError as exc:

@@ -130,12 +130,10 @@ def excitation_map(graph: ExcitationGraph, mus, basis) -> tuple:
     return rows, np.where(gone[:, 1:], 0.0, phase[:, 1:] * phase[:, :1])
 
 
-def excitation_entries(graph: ExcitationGraph, mu: ExcitationIndex,
-                       basis: list[int], index: dict) -> tuple:
+def excitation_entries(graph: ExcitationGraph, mu: ExcitationIndex, basis: list[int]) -> tuple:
     """(rows, cols, phases) of X_mu on basis, sign-folded so X_mu|ref> = +|Phi_mu>.
 
     X_mu annihilates holes (ascending), then creates particles (ascending).
-    `index`, each determinant's position in `basis`, is implied by `basis`.
     """
     rows, phases = excitation_map(graph, [mu], np.array(basis, dtype=np.uint64))
     cols = np.flatnonzero(phases[0])
@@ -147,8 +145,7 @@ def excitation_matrix(graph: ExcitationGraph, mu: ExcitationIndex,
     """Matrix of X_mu on the sector basis, sign-folded so X_mu|ref> = +|Phi_mu>."""
     if basis is None:
         basis = enumerate_determinants(graph.n_so, graph.n_up, graph.n_dn)
-    rows, cols, phases = excitation_entries(graph, mu, basis,
-                                            {d: i for i, d in enumerate(basis)})
+    rows, cols, phases = excitation_entries(graph, mu, basis)
     order = np.argsort(rows)                # X_mu is injective: one entry per row at most
     indptr = np.searchsorted(rows[order], np.arange(len(basis) + 1))
     return csr_matrix((phases[order], cols[order], indptr), len(basis))

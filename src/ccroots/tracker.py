@@ -5,7 +5,8 @@ G_i = x_i^{d_i} - 1 through H(x, lam) = (1 - lam) F(x) + gamma lam G(x),
 tracked from lam = 1 to lam = 0 along every start root.  A random complex
 gamma on the unit circle makes the paths smooth away from lam = 0 with
 probability one; endpoints are polished against F itself and merged into
-distinct solutions with multiplicities.
+distinct solutions with multiplicities.  H, its Jacobian and dH/dlam come
+from one product on F's and G's monomial table (`linear_homotopy`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ccpoly import PolynomialSystem, poly_from_json_terms
+from .ccpoly import PolynomialSystem, _monomials, poly_from_json_terms
 
 _MAX_PATHS = 1_000_000
 
@@ -128,8 +129,25 @@ def start_root(degrees, path_index: int) -> np.ndarray:
     return x
 
 
-def _start_values(x, degrees):
-    return x ** degrees - 1.0
+def linear_homotopy(table: tuple, c0: np.ndarray, c1: np.ndarray):
+    """`homotopy(x, s)` for H = ((1 - s) C0 + s C1) m(x), m(x) the monomials of
+    `table`, C0 and C1 one row per output: n values, then J row-major.  The
+    matrix of one s, with dH/ds = (C1 - C0) m(x) as extra rows, is formed once,
+    adding s C1 where it is nonzero: one product then gives H, J and dH/ds."""
+    n = math.isqrt(len(c0))         # n + n^2 rows
+    combined = np.vstack((c0, (c1 - c0)[:n]))       # rows contiguous, rewritten per s
+    nonzero = np.flatnonzero(np.vstack((c1, np.zeros((n, c1.shape[1])))))
+    c1_nonzero, at = c1[c1 != 0], [None]        # at: the s that `combined` holds
+
+    def homotopy(x, s):
+        if at[0] != s:
+            np.multiply(c0, 1.0 - s, out=combined[:-n])
+            combined.reshape(-1)[nonzero] += s * c1_nonzero
+            at[0] = s
+        out = _monomials(table, x) @ combined.T
+        return out[:n], out[n:-n].reshape(n, n), out[-n:]
+
+    return homotopy
 
 
 def newton(fun_and_jac, x, tol: float, max_iters: int):
@@ -234,15 +252,8 @@ def track_path(system: PolynomialSystem, degrees: np.ndarray, path_index: int,
     x = start_root(degrees, path_index)
     trace = [(1.0, x.copy())] if options.record_trace else None
     norm_at_endgame = None
-    diag = np.arange(0, x.size ** 2, x.size + 1)    # flat indices of J's diagonal
-    lowered = degrees - 1
-
-    def homotopy(xv, lv):
-        f, J = system.evaluate_and_jacobian(xv)
-        g = _start_values(xv, degrees)
-        J = (1.0 - lv) * J
-        J.flat[diag] += gamma * lv * (degrees * xv ** lowered)
-        return (1.0 - lv) * f + gamma * lv * g, J, gamma * g - f
+    table, c_f, c_g = system.total_degree_table(degrees)
+    homotopy = linear_homotopy(table, c_f, gamma * c_g)
 
     def clamp(lam, dlam):
         if lam <= options.endgame_start:
@@ -324,9 +335,10 @@ def solve_all(system: PolynomialSystem, options: TrackOptions | None = None) -> 
     if n_paths > _MAX_PATHS:
         raise PathBudgetError(
             f"{n_paths} start paths exceed the tracking budget {_MAX_PATHS}")
-    energy_poly = None
+    energy = None                   # the energy, compiled like the equations
     if "energy" in system.metadata:
-        energy_poly = poly_from_json_terms(system.metadata["energy"], system.var_names)
+        energy = PolynomialSystem([poly_from_json_terms(system.metadata["energy"],
+                                                        system.var_names)], system.var_names)
     gamma = gamma_from_seed(options.rng_seed)
     paths = [track_path(system, degrees, i, gamma, options) for i in range(n_paths)]
 
@@ -340,7 +352,7 @@ def solve_all(system: PolynomialSystem, options: TrackOptions | None = None) -> 
                 p.status = "clustered"
                 break
         else:
-            en = None if energy_poly is None else energy_poly.evaluate(p.x)
+            en = None if energy is None else complex(energy.evaluate(p.x)[0])
             solutions.append(Solution(
                 x=p.x.copy(), path_index=p.index, multiplicity=1,
                 is_real=bool(np.abs(p.x.imag).max() < options.real_tol),

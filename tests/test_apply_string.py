@@ -218,7 +218,7 @@ def test_non_closed_basis_raises_sector_error():
     mu = graph.indices[0]
     lost = [d for d in basis if d != mu.target(model.reference)]
     with pytest.raises(SectorError, match=re.escape(f"basis not closed under {mu.name()}")):
-        excitation_entries(graph, mu, lost, {d: i for i, d in enumerate(lost)})
+        excitation_entries(graph, mu, lost)
 
 
 # --- the signed excitation map ----------------------------------------------------
@@ -246,15 +246,14 @@ def test_excitation_entries_match_scalar_oracle_on_any_basis(model_graph, data):
     basis = data.draw(st.permutations(model.basis()))
     if data.draw(st.booleans()) and len(basis) > 1:
         basis = basis[1:]                   # maybe not closed under some X_mu
-    index = {d: i for i, d in enumerate(basis)}
     for mu in graph.indices:
         try:
             want = scalar_excitation_entries(graph, mu, basis)
         except SectorError as exc:
             with pytest.raises(SectorError, match=f"^{re.escape(str(exc))}$"):
-                excitation_entries(graph, mu, basis, index)
+                excitation_entries(graph, mu, basis)
             continue
-        rows, cols, phases = excitation_entries(graph, mu, basis, index)
+        rows, cols, phases = excitation_entries(graph, mu, basis)
         assert_same(rows, np.array(want[0], dtype=np.intp))
         assert_same(cols, np.array(want[1], dtype=np.intp))
         assert_same(phases, np.array(want[2], dtype=float))

@@ -43,8 +43,8 @@ PAIRING_E_FULL = 1.8498518351360727
 PAIRING_DELTA_E = -0.0005906742272834276
 
 
-def run(*args):
-    env = dict(os.environ)
+def run(*args, env=None):
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run(
@@ -109,6 +109,34 @@ def kp_out(work, tmp_path_factory):
 
 
 # --- global flags --------------------------------------------------------------
+
+def test_parser_is_built_once_and_commands_parse_independently(monkeypatch, tmp_path):
+    from ccroots import cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", cli.functools.cache(
+        lambda: builds.append(1) or build()))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert cli.main(["model", "--hubbard", "2,1,4", "--nelec", "1,1",
+                     "--reference", "0,3", "-o", str(first)]) == 0
+    assert cli.main(["system", "--model", str(first), "-o", str(tmp_path / "s.json")]) == 0
+    assert cli.main(["model", "--hubbard", "2,1,4", "--nelec", "1,1", "-o", str(second)]) == 0
+    assert read_json(first)["reference"] == [0, 3]
+    assert read_json(second)["reference"] == [0, 1]        # the default again
+    parser = cli._parser()
+    solve = parser.parse_args(["solve", "--system", "a.json", "--seed", "5",
+                               "--trace-dir", "t", "--workers", "2", "-o", "s.json"])
+    kp = parser.parse_args(["kp", "--model", "m.json", "--rho", "2", "-o", "p"])
+    again = parser.parse_args(["solve", "--system", "b.json", "-o", "s2.json"])
+    assert vars(kp) == {"command": "kp", "model": "m.json", "rho": 2, "state": "0",
+                        "homotopy_starts": False, "seed": 0, "workers": None,
+                        "output": "p", "func": cli.cmd_kp}
+    assert vars(again) == {"command": "solve", "system": "b.json", "seed": 0,
+                           "trace_dir": None, "workers": None, "output": "s2.json",
+                           "func": cli.cmd_solve}
+    assert (solve.seed, solve.trace_dir, solve.workers) == (5, "t", 2)
+    assert len(builds) == 1
 
 
 def test_version_flag_exits_cleanly():
@@ -300,6 +328,20 @@ def test_solve_rerun_is_byte_identical(work, tmp_path):
     first_manifest.pop("timestamp")
     second_manifest.pop("timestamp")
     assert first_manifest == second_manifest
+
+
+def test_system_and_solve_are_byte_identical_across_hash_seeds(work, tmp_path):
+    # set and dict iteration order follow PYTHONHASHSEED; no output may
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        for args in (["system", "--model", work / "dimer.json", "--rank", "full",
+                      "-o", out / "sys.json"],
+                     ["solve", "--system", out / "sys.json", "--seed", "3",
+                      "--workers", "1", "-o", out / "sol.json"]):
+            r = run(*args, env={"PYTHONHASHSEED": seed})
+            assert r.returncode == 0, r.stderr
+    for name in ("sys.json", "sol.json"):
+        assert read_bytes(tmp_path / "0" / name) == read_bytes(tmp_path / "12345" / name)
 
 
 def test_solve_worker_count_does_not_change_output(work, tmp_path):

@@ -145,6 +145,86 @@ def test_statuses_partition_paths():
         assert sum(counts.values()) == result.n_paths == len(result.paths)
 
 
+# --- the compiled homotopy against the closure it replaced ------------------------
+
+def reference_homotopy(system, degrees, gamma):
+    """H = (1 - lam) F + gamma lam G, G_i = x_i^{d_i} - 1, from F and J and
+    the start system's algebra, as track_path formed it before the table."""
+    diag = np.arange(0, degrees.size ** 2, degrees.size + 1)
+    lowered = degrees - 1
+
+    def homotopy(xv, lv):
+        f, J = system.evaluate_and_jacobian(xv)
+        g = xv ** degrees - 1.0
+        J = (1.0 - lv) * J
+        J.flat[diag] += gamma * lv * (degrees * xv ** lowered)
+        return (1.0 - lv) * f + gamma * lv * g, J, gamma * g - f
+
+    return homotopy
+
+
+def table_homotopy(system, degrees, gamma):
+    table, c_f, c_g = system.total_degree_table(degrees)
+    return tracker.linear_homotopy(table, c_f, gamma * c_g)
+
+
+HOMOTOPY_SYSTEMS = {
+    "cube": lambda: scalar_system({3: 1.0, 0: -1.0}),
+    "dimer": dimer_system,
+    "hubbard3": lambda: cc_system_for_rank(build_hubbard(3, 1.0, 4.0, 1, 1), 2).polynomials,
+    # x0 + 2 x1 - 1 is of degree one, so its start equation is x0 - 1
+    "degree_one": lambda: PolynomialSystem(
+        [Polynomial({((0, 1),): 1.0, ((1, 1),): 2.0, (): -1.0}),
+         Polynomial({((0, 1), (1, 1)): 3.0 - 1j, ((1, 1),): 0.5})], ["a", "b"]),
+    # neither equation holds a pure power x_i^{d_i}
+    "no_pure_power": lambda: PolynomialSystem(
+        [Polynomial({((0, 1), (1, 2)): 1.5, ((0, 1),): -1.0}),
+         Polynomial({((0, 1), (1, 1)): 2.0j, (): 0.25})], ["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOMOTOPY_SYSTEMS))
+def test_table_homotopy_matches_reference_closure(name):
+    sys_ = HOMOTOPY_SYSTEMS[name]()
+    degrees = np.array(sys_.degrees(), dtype=np.int64)
+    rng = np.random.default_rng(sorted(HOMOTOPY_SYSTEMS).index(name))
+    for _ in range(5):
+        gamma = complex(np.exp(2j * np.pi * rng.uniform()))
+        got_h = table_homotopy(sys_, degrees, gamma)
+        want_h = reference_homotopy(sys_, degrees, gamma)
+        a, b = rng.uniform(size=2)
+        # as the tracker visits them: repeated, revisited and end values of lam
+        for lam in (1.0, a, a, b, a, 0.0, 1.0):
+            x = rng.standard_normal(sys_.n_vars) + 1j * rng.standard_normal(sys_.n_vars)
+            for g, w in zip(got_h(x, lam), want_h(x, lam)):
+                assert g.shape == w.shape
+                assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+
+def test_table_is_built_once_per_system_and_degrees():
+    sys_ = dimer_system()
+    first = sys_.total_degree_table([2, 2, 2])
+    assert sys_.total_degree_table(np.array([2, 2, 2])) is first
+    assert dimer_system().total_degree_table([2, 2, 2]) is not first
+    # other start degrees give another start system
+    degrees = np.array([3, 2, 2])
+    assert sys_.total_degree_table(degrees) is not first
+    x = np.array([0.3 + 0.1j, -0.2, 1.1j])
+    for g, w in zip(table_homotopy(sys_, degrees, 1j)(x, 0.5),
+                    reference_homotopy(sys_, degrees, 1j)(x, 0.5)):
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+
+@pytest.mark.parametrize("system, rank, counts", [
+    ((2, 1.0, 4.0, 1, 1), 2, {"converged": 3, "clustered": 0, "diverged": 5, "failed": 0}),
+    ((3, 1.0, 0.5, 1), 1, {"converged": 9, "clustered": 0, "diverged": 44, "failed": 28}),
+])
+def test_status_counts_pinned(system, rank, counts):
+    model = build_hubbard(*system) if len(system) == 5 else build_pairing(*system)
+    result = solve_all(cc_system_for_rank(model, rank).polynomials, TrackOptions(rng_seed=0))
+    assert result.status_counts() == counts
+
+
 # --- the dimer: all roots, found and accounted -----------------------------------
 
 def test_dimer_all_three_roots():

@@ -207,21 +207,22 @@ def _scan(grid: BasinGrid, newton_step, tol: float, match_radius: float) -> Basi
     z = grid.pixel_centers().reshape(-1)
     iters = np.full(z.size, max_iters, dtype=np.int32)
     pos = np.arange(z.size, dtype=np.int32)         # still-active pixels
+    za = z.copy()                                   # and their points, compacted alike
     for it in range(max_iters):
         if not pos.size:
             break
-        za = z[pos]
         with np.errstate(all="ignore"):     # overflow is caught as non-finite
             dz = newton_step(za)
             bad = ~np.isfinite(dz)
-            dz[bad] = 0.0
+            if bad.any():
+                dz[bad] = 0.0
             za -= dz
             done = (np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))) & ~bad
-        z[pos] = za
-        del dz, za                      # freed before compacting: lowers the peak
+        del dz                          # freed before compacting: lowers the peak
+        z[pos[done]] = za[done]
         iters[pos[done]] = it + 1
-        pos = pos[~done]
-    converged = np.isfinite(z)
+        pos, za = pos[~done], za[~done]
+    converged = np.isfinite(z)          # z holds the centres of the pixels still active
     converged[pos] = False
     iters[~converged] = max_iters
     shape = (grid.ny, grid.nx)
@@ -245,8 +246,8 @@ def basin_scan(poly, window, resolution, roots=None,
     grid = _grid(window, resolution, roots, max_iters, label)
 
     def horner(c, za):                  # np.polyval's y = y * za + c, in place
-        y = np.zeros_like(za)
-        for ck in c:
+        y = np.full_like(za, c[0])
+        for ck in c[1:]:
             y *= za
             y += ck
         return y

@@ -249,12 +249,12 @@ class Workspace:
         self.e0 = np.zeros(self.dim, dtype=complex)
         self.e0[self.ref_idx] = 1.0
 
-    def excite(self, v) -> np.ndarray:
-        """X_k v for every k at once: (..., dim) -> (..., K, dim)."""
+    def excite(self, v, columns=slice(None)) -> np.ndarray:
+        """X_k v for every k in `columns` (default all): (..., dim) -> (..., K, dim)."""
         v = np.asarray(v, dtype=complex)
-        out = np.zeros(v.shape[:-1] + (len(self.x_dst), self.dim + 1), dtype=complex)
-        out[..., np.arange(len(self.x_dst))[:, None], self.x_dst] = \
-            self.x_phase * v[..., None, :]
+        dst, phase = self.x_dst[columns], self.x_phase[columns]
+        out = np.zeros(v.shape[:-1] + (len(dst), self.dim + 1), dtype=complex)
+        out[..., np.arange(len(dst))[:, None], dst] = phase * v[..., None, :]
         return out[..., :self.dim]
 
     @cached_property
@@ -271,12 +271,12 @@ class Workspace:
         indptr = np.searchsorted(self.t_row[keep], np.arange(self.dim + 1)).astype(np.int32)
         return csr_matrix((data[keep], self.t_col[keep], indptr), self.dim)
 
-    def expm_apply(self, T, v: np.ndarray) -> np.ndarray:
-        """e^T v through the nilpotent series (T raises excitation rank)."""
+    def expm_apply(self, T, v: np.ndarray, sign: int = 1) -> np.ndarray:
+        """e^{sign T} v by the nilpotent series (T raises excitation rank), no -T built."""
         w = v.astype(complex)
         term = w
         for k in range(1, self.n_elec + 1):
-            term = T @ term / k
+            term = T @ term / (sign * k)
             if not np.any(term):
                 break
             w = w + term
@@ -287,7 +287,7 @@ class Workspace:
         if path != "expm":
             raise ValueError(f"unknown path {path!r}")
         T = self.t_operator(t)
-        return self.expm_apply(-T, self.H @ self.expm_apply(T, self.e0))
+        return self.expm_apply(T, self.H @ self.expm_apply(T, self.e0), -1)
 
     def residuals(self, t) -> np.ndarray:
         """Projected residuals <Phi_mu| e^{-T} H e^{T} |ref> in graph order."""
@@ -297,17 +297,18 @@ class Workspace:
         """CC energy <ref| e^{-T} H e^{T} |ref> (includes any core energy)."""
         return complex(self.residual_vector(t)[self.ref_idx])
 
-    def residuals_and_jacobian(self, t) -> tuple:
+    def residuals_and_jacobian(self, t, columns=slice(None)) -> tuple:
         """Residuals and their Jacobian from one T, e^{T}|ref> and H e^{T}|ref>.
 
-        d r_mu / d t_nu = <Phi_mu| e^{-T} [H, X_nu] e^{T} |ref>.
+        d r_mu / d t_nu = <Phi_mu| e^{-T} [H, X_nu] e^{T} |ref>, for the nu in
+        `columns` (default all): each column alone, as bits of the full Jacobian.
         """
         T = self.t_operator(t)
         u = self.expm_apply(T, self.e0)
         hu = self.H @ u
-        y = self.H @ self.excite(u).T - self.excite(hu).T
-        T = -T
-        return self.expm_apply(T, hu)[self.target_idx], self.expm_apply(T, y)[self.target_idx]
+        y = self.H @ self.excite(u, columns).T - self.excite(hu, columns).T
+        return (self.expm_apply(T, hu, -1)[self.target_idx],
+                self.expm_apply(T, y, -1)[self.target_idx])
 
     def jacobian(self, t) -> np.ndarray:
         """Analytic Jacobian d r_mu / d t_nu in graph order."""
@@ -415,9 +416,8 @@ def generate_system(model: ModelSpec, graph: ExcitationGraph) -> CCSystem:
         "rank_counts": {str(r): c for r, c in sorted(graph.rank_counts().items())},
         "reference": [q for q in range(model.n_so) if model.reference >> q & 1],
         "energy": _poly_terms_for_json(energy_poly, names),
+        "bounds": root_bounds(graph).as_dict(),
     }
-    bounds = root_bounds(graph)
-    meta["bounds"] = bounds.as_dict()
     system = PolynomialSystem(eqs, names, meta)
     return CCSystem(model, graph, system, energy_poly, ws)
 

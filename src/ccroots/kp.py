@@ -21,7 +21,8 @@ r = Workspace.residuals, at t and at t0 (t with tp zeroed):
 
 Its Jacobian is lam J(t) plus (1 - lam) J(t0) in the [low, low] block, and its
 lam-derivative is r(t) - r(t0) on the low rows and zero on the high rows; one
-Workspace.residuals_and_jacobian pass at t and one at t0 give all three.
+Workspace.residuals_and_jacobian pass at t and one at t0, for J(t0)'s low
+columns only (the low block leads in rank-major order), give all three.
 """
 
 from __future__ import annotations
@@ -84,9 +85,7 @@ class KPState:
 
     def low_padded(self) -> np.ndarray:
         """The low block alone, zero-padded to the full graph."""
-        t = np.zeros(len(self.amplitude_split.graph), dtype=complex)
-        t[list(self.amplitude_split.low)] = self.t_low
-        return t
+        return KPState(self.amplitude_split, self.t_low, np.zeros_like(self.t_high), 0.0).t_full
 
 
 @dataclass
@@ -130,33 +129,35 @@ def _check_state(prob: KPProblem, state: KPState) -> None:
         raise SectorError("state split does not match the problem split")
 
 
-def _residual(prob: KPProblem, t: np.ndarray, lam: float) -> np.ndarray:
-    low = list(prob.low)
-    r0 = prob.ws.residuals(prob.state(t, lam).low_padded())
-    out = prob.ws.residuals(t)
-    out[low] = (1.0 - lam) * r0[low] + lam * out[low]
-    return out
+def _low_padded(prob: KPProblem, t: np.ndarray) -> np.ndarray:
+    """t0: t with its high block zeroed (the low block leads, rank-major)."""
+    return np.concatenate((t[:len(prob.low)], np.zeros(len(prob.high), dtype=t.dtype)))
+
+
+def _blend(prob: KPProblem, r: np.ndarray, r0: np.ndarray, lam: float) -> np.ndarray:
+    """The coupled map from the residuals r at t and r0 at t0, in place of r."""
+    n_low = len(prob.low)
+    r[:n_low] = (1.0 - lam) * r0[:n_low] + lam * r[:n_low]
+    return r
 
 
 def _map(prob: KPProblem, t: np.ndarray, lam: float) -> tuple:
-    """(H, J, dH/dlam) of the coupled map, one residual-and-Jacobian pass at t and at t0."""
-    ws = prob.ws
-    low = list(prob.low)
-    block = np.ix_(low, low)
+    """(H, J, dH/dlam) of the coupled map: one pass at t, one at t0 for J's low columns."""
+    ws, n_low = prob.ws, len(prob.low)
     r, J = ws.residuals_and_jacobian(t)
-    r0, J0 = ws.residuals_and_jacobian(prob.state(t, lam).low_padded())
+    r0, J0 = ws.residuals_and_jacobian(_low_padded(prob, t), slice(n_low))
     dlam = r - r0
-    dlam[list(prob.high)] = 0.0
-    r[low] = (1.0 - lam) * r0[low] + lam * r[low]
-    J[low, :] *= lam
-    J[block] += (1.0 - lam) * J0[block]
-    return r, J, dlam
+    dlam[n_low:] = 0.0
+    J[:n_low] *= lam
+    J[:n_low, :n_low] += (1.0 - lam) * J0[:n_low]
+    return _blend(prob, r, r0, lam), J, dlam
 
 
 def kp_residual(prob: KPProblem, state: KPState) -> np.ndarray:
     """Residual of the coupled map at the state, in graph order."""
     _check_state(prob, state)
-    return _residual(prob, state.t_full, state.lam)
+    t = state.t_full
+    return _blend(prob, prob.ws.residuals(t), prob.ws.residuals(_low_padded(prob, t)), state.lam)
 
 
 def kp_jacobian(prob: KPProblem, state: KPState) -> np.ndarray:
@@ -218,8 +219,7 @@ def solve_lambda0(prob: KPProblem, use_homotopy_starts: bool = False,
     Distinct converged states are returned sorted by Re of the CC energy;
     per-candidate Newton failures are logged and dropped.
     """
-    low = list(prob.low)
-    starts = [np.zeros(len(low), dtype=complex)]
+    starts = [np.zeros(len(prob.low), dtype=complex)]
     if use_homotopy_starts:
         sub_cc = generate_system(prob.model, build_graph(prob.model, prob.rho))
         sol = solve_all(sub_cc.polynomials, track_options or TrackOptions())
@@ -267,7 +267,7 @@ def kp_track(prob: KPProblem, state0: KPState,
     increasing across them.
     """
     _check_state(prob, state0)
-    r0 = float(np.abs(_residual(prob, state0.t_full, state0.lam)).max(initial=0.0))
+    r0 = float(np.abs(kp_residual(prob, state0)).max(initial=0.0))
     if r0 > _START_RESIDUAL_TOL:
         raise ValueError(f"start state residual {r0:.3e} exceeds {_START_RESIDUAL_TOL:.0e}")
 
@@ -311,12 +311,10 @@ def overlap(model: ModelSpec, t_a: np.ndarray, t_b: np.ndarray,
     series, conjugating the left factor.  Graphs default to the full-rank
     graph of the model; both must live over the model's particle sector.
     """
-    if graph_a is None and graph_b is None:
-        graph_a = graph_b = build_graph(model, full_rank(model))
-    elif graph_a is None:
-        graph_a = build_graph(model, full_rank(model))
-    elif graph_b is None:
-        graph_b = build_graph(model, full_rank(model))
+    if graph_a is None or graph_b is None:
+        full = build_graph(model, full_rank(model))
+        graph_a = full if graph_a is None else graph_a
+        graph_b = full if graph_b is None else graph_b
     t_a = np.asarray(t_a, dtype=complex)
     t_b = np.asarray(t_b, dtype=complex)
     if t_a.shape != (len(graph_a),) or t_b.shape != (len(graph_b),):
@@ -385,24 +383,18 @@ def trajectory_csv(prob: KPProblem, traj: KPTrajectory) -> str:
     energy of the full amplitude vector.  The energy columns hold complex
     literals in Python syntax ("(a+bj)"), parseable with complex().
     """
-    sp = prob.amplitude_split
-    names = prob.graph.names()
-    header = ["lambda"]
-    for name in names:
-        header += [f"re({name})", f"im({name})"]
-    header += ["residual_norm", "energy_low", "energy_full"]
+    ws = prob.ws
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(["lambda"] + [f"{part}({name})" for name in prob.graph.names()
+                                  for part in ("re", "im")]
+                    + ["residual_norm", "energy_low", "energy_full"])
     for lam, t_low, t_high in traj.samples:
-        state = KPState(sp, t_low, t_high, lam)
-        t = state.t_full
-        res = float(np.abs(_residual(prob, t, lam)).max(initial=0.0))
-        e_low = complex(prob.ws.energy(state.low_padded()))
-        e_full = complex(prob.ws.energy(t))
-        row = [repr(float(lam))]
-        for k in range(len(names)):
-            row += [repr(float(t[k].real)), repr(float(t[k].imag))]
-        row += [repr(res), repr(e_low), repr(e_full)]
-        writer.writerow(row)
+        t = KPState(prob.amplitude_split, t_low, t_high, lam).t_full
+        # one residual vector at t and one at t0 give the residual and both energies
+        v, v0 = ws.residual_vector(t), ws.residual_vector(_low_padded(prob, t))
+        res = float(np.abs(_blend(prob, v[ws.target_idx], v0[ws.target_idx], lam))
+                    .max(initial=0.0))
+        writer.writerow([repr(float(lam))] + [repr(float(p)) for z in t for p in (z.real, z.imag)]
+                        + [repr(res), repr(complex(v0[ws.ref_idx])), repr(complex(v[ws.ref_idx]))])
     return buf.getvalue()

@@ -6,7 +6,8 @@ tracked from lam = 1 to lam = 0 along every start root.  A random complex
 gamma on the unit circle makes the paths smooth away from lam = 0 with
 probability one; endpoints are polished against F itself and merged into
 distinct solutions with multiplicities.  H, its Jacobian and dH/dlam come
-from one product on F's and G's monomial table (`linear_homotopy`).
+from one product on F's and G's monomial table (`linear_homotopy`), and the
+continuation core solves a point's predictor tangent once, for all retries.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ccpoly import PolynomialSystem, _monomials, poly_from_json_terms
+from .ccpoly import PolynomialSystem, poly_from_json_terms
 
 _MAX_PATHS = 1_000_000
 
@@ -134,20 +135,30 @@ def linear_homotopy(table: tuple, c0: np.ndarray, c1: np.ndarray):
     `table`, C0 and C1 one row per output: n values, then J row-major.  The
     matrix of one s, with dH/ds = (C1 - C0) m(x) as extra rows, is formed once,
     adding s C1 where it is nonzero: one product then gives H, J and dH/ds."""
-    n = math.isqrt(len(c0))         # n + n^2 rows
+    nn, n = len(c0), math.isqrt(len(c0))        # n + n^2 rows
     combined = np.vstack((c0, (c1 - c0)[:n]))       # rows contiguous, rewritten per s
     nonzero = np.flatnonzero(np.vstack((c1, np.zeros((n, c1.shape[1])))))
     c1_nonzero, at = c1[c1 != 0], [None]        # at: the s that `combined` holds
+    power, factors = table
+    combined_t = combined.T
 
-    def homotopy(x, s):
+    def homotopy(x, s):             # x complex; `_monomials` of one point inlined
         if at[0] != s:
-            np.multiply(c0, 1.0 - s, out=combined[:-n])
+            np.multiply(c0, 1.0 - s, out=combined[:nn])
             combined.reshape(-1)[nonzero] += s * c1_nonzero
             at[0] = s
-        out = _monomials(table, x) @ combined.T
-        return out[:n], out[n:-n].reshape(n, n), out[-n:]
+        out = (x ** power).reshape(-1)[factors].prod(axis=-1) @ combined_t
+        return out[:n], out[n:nn].reshape(n, n), out[nn:]
 
     return homotopy
+
+
+def _max_abs(v) -> float:
+    """`float(np.abs(v).max(initial=0.0))` in fewer numpy calls, NaN included:
+    a sum of |v_i|, each non-negative, inf or NaN, is NaN exactly when one is."""
+    a = np.abs(v).tolist()
+    total = sum(a)
+    return total if total != total else max(a, default=0.0)
 
 
 def newton(fun_and_jac, x, tol: float, max_iters: int):
@@ -161,18 +172,17 @@ def newton(fun_and_jac, x, tol: float, max_iters: int):
     x = np.asarray(x, dtype=complex).copy()
     for it in range(max_iters + 1):
         r, J = fun_and_jac(x)
-        res = float(np.abs(r).max(initial=0.0))
-        if res <= tol * max(1.0, float(np.abs(x).max(initial=0.0))):
+        if (res := _max_abs(r)) <= tol * max(1.0, _max_abs(x)):
             return x, True, it, res
         if it == max_iters:
             break
         try:
-            delta = np.linalg.solve(J, -r)
+            delta = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(J, -r, rcond=None)[0]
-        if not np.all(np.isfinite(delta)):
+            delta = np.linalg.lstsq(J, r, rcond=None)[0]
+        if not np.isfinite(delta).all():
             break
-        x = x + delta
+        x = x - delta
     return x, False, it, res
 
 
@@ -190,58 +200,56 @@ def _continue(homotopy, x, s0: float, s1: float, options: TrackOptions,
     """Predictor-corrector continuation of H(x, s) = 0 from s0 toward s1.
 
     `homotopy(x, s)` returns (H, J, dH/ds), J = dH/dx, from one evaluation.
-    A step is an Euler predictor on the Davidenko equation
-    J dx/ds = -dH/ds followed by at most `corrector_max_iters` Newton
-    corrections at the new s; it is accepted once a correction falls below
-    `corrector_tol`.  The step grows by 1.5 (up to `step_max`) after three
-    accepted steps in a row and halves on a rejection.  `clamp(s, ds)` may
-    shorten a proposed step length, and `on_accept(s, x)` sees every accepted
-    point.  Returns (outcome, x, s, steps): outcome is "reached" once
-    |s1 - s| <= stop_within, "stalled" when the step falls below `step_min`,
-    "max_steps" or "diverged" (max|x| above `divergence_norm`); steps counts
-    the attempted steps.
+    A step is an Euler predictor on the Davidenko equation J dx/ds = -dH/ds,
+    whose tangent is solved once per point (a rejected step retries from the
+    same one), then at most `corrector_max_iters` Newton corrections at the
+    new s; it is accepted once a correction falls below `corrector_tol`.  The
+    step grows by 1.5 (up to `step_max`) after three accepted steps in a row
+    and halves on a rejection.  `clamp(s, ds)` may shorten a proposed step
+    length, and `on_accept(s, x)` sees every accepted point.  Returns (outcome,
+    x, s, steps): outcome is "reached" once |s1 - s| <= stop_within, "stalled"
+    when the step falls below `step_min`, "max_steps" or "diverged" (max|x|
+    above `divergence_norm`); steps counts the attempted steps.
     """
-    down = s1 < s0
-    s = s0
-    step = options.step_init
-    successes = 0
-    steps = 0
+    solve, tol, iters = np.linalg.solve, options.corrector_tol, options.corrector_max_iters
+    step_min, step_max, max_steps = options.step_min, options.step_max, options.max_steps
+    down, s, step, successes, steps = s1 < s0, s0, options.step_init, 0, 0
+    x_max, tangent = _max_abs(x), None      # tangent: -dx/ds at (x, s), solved on first use
     while abs(s1 - s) > stop_within:
         steps += 1
-        if steps > options.max_steps:
+        if steps > max_steps:
             return "max_steps", x, s, steps
         ds = min(step, s - s1) if down else step
-        if clamp is not None:
-            ds = clamp(s, ds)
+        ds = ds if clamp is None else clamp(s, ds)
         s_next = s - ds if down else min(s + ds, s1)
         ok = False
         try:
-            _, J, dh = homotopy(x, s)
-            xc = x + np.linalg.solve(J, -dh) * (s_next - s)
-            for _ in range(options.corrector_max_iters):
+            if tangent is None:
+                _, J, dh = homotopy(x, s)
+                tangent = solve(J, dh)
+            xc = x - tangent * (s_next - s)
+            for _ in range(iters):
                 h, J, _ = homotopy(xc, s_next)
-                delta = np.linalg.solve(J, -h)
-                xc = xc + delta
-                if float(np.abs(delta).max(initial=0.0)) <= options.corrector_tol * max(
-                        1.0, float(np.abs(xc).max(initial=0.0))):
-                    ok = True
+                delta = solve(J, h)
+                xc = xc - delta
+                xc_max = _max_abs(xc)
+                if ok := _max_abs(delta) <= tol * max(1.0, xc_max):
                     break
         except np.linalg.LinAlgError:
             ok = False
-        if ok and np.all(np.isfinite(xc)):
-            x, s = xc, s_next
+        # max|xc| is finite only when xc is; |xc_i| may overflow for finite xc_i
+        if ok and (math.isfinite(xc_max) or np.isfinite(xc).all()):
+            x, s, x_max, tangent = xc, s_next, xc_max, None
             if on_accept is not None:
                 on_accept(s, x)
             successes += 1
             if successes >= 3:
-                step = min(step * 1.5, options.step_max)
-                successes = 0
+                step, successes = min(step * 1.5, step_max), 0
         else:
-            step *= 0.5
-            successes = 0
-            if step < options.step_min:
+            step, successes = step * 0.5, 0
+            if step < step_min:
                 return "stalled", x, s, steps
-        if float(np.abs(x).max(initial=0.0)) > options.divergence_norm:
+        if x_max > options.divergence_norm:
             return "diverged", x, s, steps
     return "reached", x, s, steps
 
@@ -303,9 +311,8 @@ def track_path(system: PolynomialSystem, degrees: np.ndarray, path_index: int,
     status = "converged" if converged else "failed"
     if trace is not None:
         if trace[-1][0] == 0.0:
-            trace[-1] = (0.0, x.copy())
-        else:
-            trace.append((0.0, x.copy()))
+            trace.pop()
+        trace.append((0.0, x.copy()))
     return PathResult(path_index, status, x, lam, n_steps, res, trace)
 
 

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ccroots import basins
 from ccroots.basins import (
     BasinGrid,
     PixelBudgetError,
@@ -295,6 +296,91 @@ def test_overflowing_newton_steps_scan_silently(text):
     assert (grid.iterations[unconverged] == grid.max_iters).all()
     for root in grid.roots:                 # every root found is a true root
         assert abs(np.polyval(np.asarray(coeffs)[::-1], root)) < 1e-6
+
+# --- the scan loop against the one it replaced -----------------------------------------
+
+def reference_scan(grid, newton_step, tol, match_radius):
+    """The scan as it was before its active points were kept compacted:
+    gathered from and scattered back to the full array every iteration."""
+    max_iters = grid.max_iters
+    z = grid.pixel_centers().reshape(-1)
+    iters = np.full(z.size, max_iters, dtype=np.int32)
+    pos = np.arange(z.size, dtype=np.int32)
+    for it in range(max_iters):
+        if not pos.size:
+            break
+        za = z[pos]
+        with np.errstate(all="ignore"):
+            dz = newton_step(za)
+            bad = ~np.isfinite(dz)
+            dz[bad] = 0.0
+            za -= dz
+            done = (np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))) & ~bad
+        z[pos] = za
+        iters[pos[done]] = it + 1
+        pos = pos[~done]
+    converged = np.isfinite(z)
+    converged[pos] = False
+    iters[~converged] = max_iters
+    shape = (grid.ny, grid.nx)
+    grid.root_index = _registry_assign(z.reshape(shape), converged.reshape(shape),
+                                       grid.roots, match_radius)
+    grid.iterations = iters.reshape(shape)
+    return grid
+
+
+def reference_basin_scan(coeffs, window, resolution, max_iters):
+    """Horner from zero, one multiply before the leading coefficient, on the
+    reference loop."""
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
+    desc, ddesc = coeffs[::-1], (coeffs[1:] * np.arange(1, len(coeffs)))[::-1]
+
+    def horner(c, za):
+        y = np.zeros_like(za)
+        for ck in c:
+            y *= za
+            y += ck
+        return y
+
+    grid = _grid(window, resolution, None, max_iters, "")
+    return reference_scan(grid, lambda za: horner(desc, za) / horner(ddesc, za),
+                          1e-12, 1e-6)
+
+
+def assert_same_grid(got, want):
+    assert got.root_index.tobytes() == want.root_index.tobytes()
+    assert got.iterations.tobytes() == want.iterations.tobytes()
+    assert np.array(got.roots, dtype=complex).tobytes() == \
+        np.array(want.roots, dtype=complex).tobytes()
+    assert render_ppm(got) == render_ppm(want)
+
+
+@pytest.mark.parametrize("coeffs, window, resolution, max_iters", [
+    ([-1.0, 0.0, 0.0, 1.0], (-1.5, 1.5, -1.5, 1.5), 61, 64),      # centres on both axes
+    ([-3j, 0.5, 0.0, 0.0, 2.0 - 1.0j], (-2, 2, -1.5, 2.5), (48, 40), 64),   # not monic
+    ([1.0, 0.0, complex(-3.0, -0.0)], (-2, 2, -2, 2), 41, 32),   # a signed-zero lead
+    ([-2.0, 0.0, 0.0, 0.0, 0.0, 1e-3], (-1e60, 1e60, -1e60, 1e60), 33, 64),   # overflow
+    (np.r_[-1.0, np.zeros(299), 1.0], (-2, 2, -2, 2), 24, 64),    # z^300 - 1 overflows
+    ([1e300, 0.0, 1e-300], (-2, 2, -2, 2), 16, 64),
+], ids=["cube", "non_monic", "signed_zero", "huge_window", "z300", "tiny_lead"])
+def test_basin_scan_matches_reference_pixel_for_pixel(coeffs, window, resolution, max_iters):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = basin_scan(coeffs, window, resolution, max_iters=max_iters)
+        want = reference_basin_scan(coeffs, window, resolution, max_iters)
+    assert_same_grid(got, want)
+
+
+def test_slice_scan_matches_reference_pixel_for_pixel(monkeypatch):
+    sys_ = cc_system_for_rank(build_hubbard(3, 1.0, 4.0, 1, 1), 2).polynomials
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal(sys_.n_vars) + 1j * rng.standard_normal(sys_.n_vars)
+    direction = rng.standard_normal(sys_.n_vars) + 0j
+    args = (sys_, base, direction, (-3, 3, -2, 2), (45, 30))
+    got = slice_scan(*args)
+    monkeypatch.setattr(basins, "_scan", reference_scan)
+    assert_same_grid(got, slice_scan(*args))
+
 
 # --- multivariate slice --------------------------------------------------------------
 

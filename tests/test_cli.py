@@ -139,6 +139,40 @@ def test_parser_is_built_once_and_commands_parse_independently(monkeypatch, tmp_
     assert len(builds) == 1
 
 
+def test_chain_run_twice_in_one_process_is_byte_identical(monkeypatch, tmp_path):
+    # a bench worker runs its chain pass after pass in one process: state kept
+    # between commands (compiled tables, parser, workspaces) must not change a byte
+    from ccroots import cli
+
+    chain = [
+        ["model", "--hubbard", "2,1,4", "--nelec", "1,1", "-o", "model.json"],
+        ["system", "--model", "model.json", "--rank", "full", "-o", "system.json"],
+        ["solve", "--system", "system.json", "--seed", "7", "--workers", "1",
+         "-o", "sol.json"],
+        ["verify", "--model", "model.json", "--solutions", "sol.json", "-o", "report.json"],
+        ["model", "--pairing", "4,1.0,0.33,2", "-o", "pairing.json"],
+        ["kp", "--model", "pairing.json", "--rho", "2", "--workers", "1", "-o", "kp"],
+    ]
+    passes = []
+    for k in range(2):
+        pass_dir = tmp_path / f"pass{k}"
+        pass_dir.mkdir()
+        monkeypatch.chdir(pass_dir)
+        for argv in chain:
+            assert cli.main(argv) == 0, argv
+        files = {}
+        for path in sorted(pass_dir.iterdir()):
+            data = path.read_bytes()
+            if path.name.endswith(".manifest.json"):
+                doc = json.loads(data)
+                doc.pop("timestamp")
+                data = json.dumps(doc, sort_keys=True).encode()
+            files[path.name] = data
+        passes.append(files)
+    assert passes[0] == passes[1]
+    assert {"sol.json", "report.json", "kp.bundle.json", "kp.trajectory.csv"} <= set(passes[0])
+
+
 def test_version_flag_exits_cleanly():
     r = run("--version")
     assert r.returncode == 0

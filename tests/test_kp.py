@@ -358,6 +358,102 @@ def test_trajectory_csv_layout():
     assert complex(rows[-1][-1]).real == pytest.approx(PAIRING_E_FULL, abs=1e-9)
 
 
+# --- the map and the CSV against the forms they replaced -------------------------------
+
+def reference_residual_vector(ws, t):
+    """e^{-T} H e^{T} |ref> with -T built as its own matrix."""
+    T = ws.t_operator(t)
+    return ws.expm_apply(-T, ws.H @ ws.expm_apply(T, ws.e0))
+
+
+def reference_residuals_and_jacobian(ws, t):
+    """Every Jacobian column, and -T built as its own matrix."""
+    T = ws.t_operator(t)
+    u = ws.expm_apply(T, ws.e0)
+    hu = ws.H @ u
+    y = ws.H @ ws.excite(u).T - ws.excite(hu).T
+    T = -T
+    return ws.expm_apply(T, hu)[ws.target_idx], ws.expm_apply(T, y)[ws.target_idx]
+
+
+def reference_map(prob, t, lam):
+    """The coupled map with J(t0) over all K columns."""
+    low = list(prob.low)
+    block = np.ix_(low, low)
+    r, J = reference_residuals_and_jacobian(prob.ws, t)
+    r0, J0 = reference_residuals_and_jacobian(prob.ws, prob.state(t, lam).low_padded())
+    dlam = r - r0
+    dlam[list(prob.high)] = 0.0
+    r[low] = (1.0 - lam) * r0[low] + lam * r[low]
+    J[low, :] *= lam
+    J[block] += (1.0 - lam) * J0[block]
+    return r, J, dlam
+
+
+def reference_trajectory_csv(prob, traj):
+    """Four residual vectors per sample: the map at t and t0, then each energy."""
+    ws = prob.ws
+    names = prob.graph.names()
+    header = ["lambda"] + [f"{p}({n})" for n in names for p in ("re", "im")]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header + ["residual_norm", "energy_low", "energy_full"])
+    for lam, t_low, t_high in traj.samples:
+        state = KPState(prob.amplitude_split, t_low, t_high, lam)
+        t, t0 = state.t_full, state.low_padded()
+        low = list(prob.low)
+        r0 = reference_residual_vector(ws, t0)[ws.target_idx]
+        r = reference_residual_vector(ws, t)[ws.target_idx]
+        r[low] = (1.0 - lam) * r0[low] + lam * r[low]
+        e_low = complex(reference_residual_vector(ws, t0)[ws.ref_idx])
+        e_full = complex(reference_residual_vector(ws, t)[ws.ref_idx])
+        row = [repr(float(lam))]
+        for k in range(len(names)):
+            row += [repr(float(t[k].real)), repr(float(t[k].imag))]
+        writer.writerow(row + [repr(float(np.abs(r).max(initial=0.0))), repr(e_low),
+                               repr(e_full)])
+    return buf.getvalue()
+
+
+KP_PROBLEMS = {
+    "pairing4_rho2": lambda: pairing_problem(2),
+    "pairing4_rho3": lambda: pairing_problem(3),
+    "pairing5_rho2": lambda: kp_problem(build_pairing(5, 1.0, 0.4, 2), 2),
+    "dimer": dimer_problem,
+    "hubbard4_rho2": lambda: kp_problem(build_hubbard(4, 1.0, 4.0, 2, 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KP_PROBLEMS))
+def test_map_matches_reference_bit_for_bit(name):
+    prob = KP_PROBLEMS[name]()
+    ws = prob.ws
+    rng = np.random.default_rng(sorted(KP_PROBLEMS).index(name))
+    n_low = len(prob.low)
+    for lam in (0.0, 0.37, 1.0):
+        t = random_state(prob, rng, lam).t_full
+        t[rng.random(len(t)) < 0.2] = 0.0
+        for got, want in zip(_map(prob, t, lam), reference_map(prob, t, lam)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a subset of Jacobian columns is those columns of the full Jacobian
+        r, J = reference_residuals_and_jacobian(ws, t)
+        for columns in (slice(n_low), slice(None), np.array([len(t) - 1, 0, 2 % len(t)])):
+            r_sub, J_sub = ws.residuals_and_jacobian(t, columns)
+            assert r_sub.tobytes() == r.tobytes()
+            assert J_sub.tobytes() == np.ascontiguousarray(J[:, columns]).tobytes()
+        assert ws.residual_vector(t).tobytes() == reference_residual_vector(ws, t).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(KP_PROBLEMS))
+def test_trajectory_csv_matches_reference_bytes(name):
+    prob = KP_PROBLEMS[name]()
+    state0 = solve_lambda0(prob)[0]
+    for options in (TrackOptions(), TrackOptions(max_steps=3)):
+        traj = kp_track(prob, state0, options)
+        assert len(traj.samples) > 1
+        assert trajectory_csv(prob, traj) == reference_trajectory_csv(prob, traj)
+
+
 # --- the kp and Workspace contract that bench/layers.py measures ----------------------
 
 def test_kp_maps_and_workspace_keep_their_call_forms(tmp_path):

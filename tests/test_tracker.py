@@ -346,6 +346,153 @@ def test_continue_step_budget_and_clamp():
                                  on_accept=lambda s, x: accepted.append(s))
     assert outcome == "reached" and len(accepted) >= 100
 
+# --- the continuation core against the one it replaced ---------------------------
+
+def reference_continue(homotopy, x, s0, s1, options, clamp=None, on_accept=None,
+                       stop_within=0.0):
+    """The core as it was before the tangent was reused: every attempted step
+    solves its own predictor tangent, and h and dH/ds are negated before the
+    solve."""
+    down = s1 < s0
+    s = s0
+    step = options.step_init
+    successes = 0
+    steps = 0
+    while abs(s1 - s) > stop_within:
+        steps += 1
+        if steps > options.max_steps:
+            return "max_steps", x, s, steps
+        ds = min(step, s - s1) if down else step
+        if clamp is not None:
+            ds = clamp(s, ds)
+        s_next = s - ds if down else min(s + ds, s1)
+        ok = False
+        try:
+            _, J, dh = homotopy(x, s)
+            xc = x + np.linalg.solve(J, -dh) * (s_next - s)
+            for _ in range(options.corrector_max_iters):
+                h, J, _ = homotopy(xc, s_next)
+                delta = np.linalg.solve(J, -h)
+                xc = xc + delta
+                if float(np.abs(delta).max(initial=0.0)) <= options.corrector_tol * max(
+                        1.0, float(np.abs(xc).max(initial=0.0))):
+                    ok = True
+                    break
+        except np.linalg.LinAlgError:
+            ok = False
+        if ok and np.all(np.isfinite(xc)):
+            x, s = xc, s_next
+            if on_accept is not None:
+                on_accept(s, x)
+            successes += 1
+            if successes >= 3:
+                step = min(step * 1.5, options.step_max)
+                successes = 0
+        else:
+            step *= 0.5
+            successes = 0
+            if step < options.step_min:
+                return "stalled", x, s, steps
+        if float(np.abs(x).max(initial=0.0)) > options.divergence_norm:
+            return "diverged", x, s, steps
+    return "reached", x, s, steps
+
+
+def recorded_track_path(monkeypatch, core, system, index, options):
+    """track_path on the given core; returns the path and the core's record:
+    its result, its homotopy calls, and how many of them solved a tangent at
+    a point already tangent-solved (a retry after a rejection)."""
+    record = {}
+
+    def recorded(homotopy, x, s0, s1, opts, clamp=None, on_accept=None, stop_within=0.0):
+        calls, tangents, at = [0], [], [s0]
+
+        def counted(xv, s):
+            calls[0] += 1
+            if s == at[0]:              # corrector calls never sit at the current s
+                tangents.append(s)
+            return homotopy(xv, s)
+
+        def accept(s, xv):
+            at[0] = s
+            on_accept(s, xv)
+
+        out = core(counted, x, s0, s1, opts, clamp, accept, stop_within)
+        record.update(out=out, calls=calls[0], repeats=len(tangents) - len(set(tangents)))
+        return out
+
+    monkeypatch.setattr(tracker, "_continue", recorded)
+    degrees = np.array(system.degrees(), dtype=np.int64)
+    path = tracker.track_path(system, degrees, index, gamma_from_seed(options.rng_seed),
+                              options)
+    return path, record
+
+
+CORE_SYSTEMS = {   # every outcome with rejections: reached, stalled, diverged, max_steps
+    "hubbard2": (lambda: cc_system_for_rank(build_hubbard(2, 1.0, 4.0, 1, 1), 2).polynomials,
+                 range(8), TrackOptions(rng_seed=0)),
+    "hubbard2_budget": (lambda: cc_system_for_rank(
+        build_hubbard(2, 1.0, 4.0, 1, 1), 2).polynomials, range(8),
+        TrackOptions(rng_seed=3, max_steps=25)),
+    "hubbard3": (lambda: cc_system_for_rank(build_hubbard(3, 1.0, 4.0, 1, 1), 2).polynomials,
+                 range(0, 256, 16), TrackOptions(rng_seed=0)),
+    "pairing3_rank1": (lambda: cc_system_for_rank(build_pairing(3, 1.0, 0.5, 1), 1).polynomials,
+                       range(0, 81, 9), TrackOptions(rng_seed=0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORE_SYSTEMS))
+def test_continue_matches_reference_bit_for_bit(monkeypatch, name):
+    make, indices, options = CORE_SYSTEMS[name]
+    system = make()
+    outcomes, saved = set(), 0
+    for index in indices:
+        want, ref = recorded_track_path(monkeypatch, reference_continue, system, index, options)
+        got, new = recorded_track_path(monkeypatch, _continue, system, index, options)
+        (w_out, w_x, w_s, w_steps), (g_out, g_x, g_s, g_steps) = ref["out"], new["out"]
+        assert (g_out, g_s, g_steps) == (w_out, w_s, w_steps)
+        assert g_x.tobytes() == w_x.tobytes()
+        assert (got.status, got.steps, got.lambda_reached) == (
+            want.status, want.steps, want.lambda_reached)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.residual == want.residual or np.isnan(got.residual) and np.isnan(
+            want.residual)
+        # one homotopy call fewer for every step retried from the same point
+        assert new["repeats"] == 0
+        assert new["calls"] == ref["calls"] - ref["repeats"]
+        outcomes.add(w_out)
+        saved += ref["repeats"]
+    assert saved > 0
+    assert outcomes >= ({"max_steps"} if name.endswith("budget") else {"stalled", "diverged"})
+
+
+def test_solve_all_on_the_reference_core_writes_the_same_artifact(monkeypatch):
+    system = cc_system_for_rank(build_hubbard(2, 1.0, 4.0, 1, 1), 2).polynomials
+    got = json.dumps(solve_all(system, TrackOptions(rng_seed=5)).to_dict())
+    monkeypatch.setattr(tracker, "_continue", reference_continue)
+    assert got == json.dumps(solve_all(system, TrackOptions(rng_seed=5)).to_dict())
+
+
+def test_max_abs_is_numpys_max_including_nan_and_overflow():
+    rng = np.random.default_rng(11)
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7e308]
+    cases = [np.zeros(0, dtype=complex), np.array([complex(1.7e308, 1.7e308)]),
+             np.array([complex(np.nan, np.inf), 1.0]), np.array([2.0, np.nan])]
+    for _ in range(3000):
+        n = int(rng.integers(1, 9))
+        parts = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))
+        mask = rng.random((2, n)) < 0.15
+        parts[mask] = rng.choice(specials, size=int(mask.sum()))
+        cases.append(parts[0] + 0j)
+        cases[-1].imag = parts[1]
+    for v in cases:
+        with np.errstate(all="ignore"):
+            want = float(np.abs(v).max(initial=0.0))
+            got = tracker._max_abs(v)
+        assert type(got) is float
+        assert got == want or (np.isnan(got) and np.isnan(want)), v
+
+
 # --- determinism ------------------------------------------------------------------
 
 def test_bitwise_determinism_and_worker_independence():

@@ -3,9 +3,11 @@
 Every pixel of the window is a Newton start; converged pixels are assigned to
 a root registry that is filled in deterministic row-major scan order (or
 pre-seeded, e.g. from a homotopy solution set, so colors match its root
-numbering).  For multivariate systems a one-complex-dimensional slice
-x = base + z * direction is scanned by Newton on the direction-projected
-residual; that reduction is a heuristic diagnostic, not an all-roots method.
+numbering).  Scans and images run one block of pixel rows at a time, so a
+grid costs 8 bytes per pixel and its image, plus one block.  For multivariate
+systems a one-complex-dimensional slice x = base + z * direction is scanned by
+Newton on the direction-projected residual; that reduction is a heuristic
+diagnostic, not an all-roots method.
 """
 
 from __future__ import annotations
@@ -20,17 +22,20 @@ from .ccpoly import PolynomialSystem
 _DEFAULT_MAX_ITERS = 64
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MATCH_RADIUS = 1e-6
-_MAX_PIXELS = 2048 * 2048        # bounds the per-pixel arrays a scan allocates
+_MAX_PIXELS = 2048 * 2048        # bounds a grid's int32 arrays and its image
+# Pixels per block of rows: the ~4 complex arrays a Newton iteration keeps live
+# (points, steps, Horner's value and slope) fill 2 MB, one core's L2 cache.
+_BLOCK_PIXELS = 32768
 
 # color palette for root indices (cycled); brightness encodes iteration count
-_PALETTE = [
+_PALETTE = np.array([
     (220, 60, 60),    # red
     (70, 90, 230),    # blue
     (70, 200, 90),    # green
     (230, 200, 60),   # yellow
     (200, 80, 220),   # magenta
     (70, 210, 220),   # cyan
-]
+], dtype=float)
 
 
 class PolynomialParseError(ValueError):
@@ -151,11 +156,18 @@ class BasinGrid:
         if not (np.isfinite(self.window).all() and re_min < re_max and im_min < im_max):
             raise ValueError(f"window needs finite, increasing bounds, got {self.window}")
 
-    def pixel_centers(self) -> np.ndarray:
+    def _axes(self) -> tuple:               # centres' real parts by column, imag by row
         re_min, re_max, im_min, im_max = self.window
-        xs = re_min + (np.arange(self.nx) + 0.5) * (re_max - re_min) / self.nx
-        ys = im_max - (np.arange(self.ny) + 0.5) * (im_max - im_min) / self.ny
+        return (re_min + (np.arange(self.nx) + 0.5) * (re_max - re_min) / self.nx,
+                im_max - (np.arange(self.ny) + 0.5) * (im_max - im_min) / self.ny)
+
+    def pixel_centers(self) -> np.ndarray:
+        xs, ys = self._axes()
         return xs[None, :] + 1j * ys[:, None]
+
+    def _row_blocks(self):                  # slices of about _BLOCK_PIXELS pixels
+        rows = max(1, _BLOCK_PIXELS // max(self.nx, 1))
+        return (slice(r, r + rows) for r in range(0, self.ny, rows))
 
     def root_pixel(self, z: complex):
         """Pixel (row, col) containing z, or None when outside the window."""
@@ -172,6 +184,8 @@ def _grid(window, resolution, roots, max_iters, label) -> BasinGrid:
     nx, ny = (resolution,) * 2 if isinstance(resolution, int) else map(int, resolution)
     if nx * ny > _MAX_PIXELS:
         raise PixelBudgetError(f"{nx}x{ny} pixels exceed the scan budget {_MAX_PIXELS}")
+    if not 1 <= max_iters <= np.iinfo(np.int32).max:
+        raise ValueError(f"max_iters must be in 1..{np.iinfo(np.int32).max}, got {max_iters}")
     return BasinGrid(tuple(window), nx, ny, None, None,
                      list(map(complex, roots or [])), max_iters, label)
 
@@ -198,37 +212,36 @@ def _registry_assign(z_final, converged, roots, match_radius):
 
 
 def _scan(grid: BasinGrid, newton_step, tol: float, match_radius: float) -> BasinGrid:
-    """Vectorized Newton from every pixel center; fills the grid in place.
+    """Vectorized Newton from every pixel center, one block of rows at a time;
+    fills the grid's int32 arrays in place.
 
     `newton_step(za) -> dz` maps the still-active points to their Newton
-    corrections; a non-finite correction freezes the point unconverged.
+    corrections; a point whose correction is not finite retires at once,
+    unconverged.  Blocks share the registry in row order, as one scan would.
     """
-    max_iters = grid.max_iters
-    z = grid.pixel_centers().reshape(-1)
-    iters = np.full(z.size, max_iters, dtype=np.int32)
-    pos = np.arange(z.size, dtype=np.int32)         # still-active pixels
-    za = z.copy()                                   # and their points, compacted alike
-    for it in range(max_iters):
-        if not pos.size:
-            break
-        with np.errstate(all="ignore"):     # overflow is caught as non-finite
-            dz = newton_step(za)
-            bad = ~np.isfinite(dz)
-            if bad.any():
-                dz[bad] = 0.0
-            za -= dz
-            done = (np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))) & ~bad
-        del dz                          # freed before compacting: lowers the peak
-        z[pos[done]] = za[done]
-        iters[pos[done]] = it + 1
-        pos, za = pos[~done], za[~done]
-    converged = np.isfinite(z)          # z holds the centres of the pixels still active
-    converged[pos] = False
-    iters[~converged] = max_iters
-    shape = (grid.ny, grid.nx)
-    grid.root_index = _registry_assign(z.reshape(shape), converged.reshape(shape),
-                                       grid.roots, match_radius)
-    grid.iterations = iters.reshape(shape)
+    max_iters, (xs, ys) = grid.max_iters, grid._axes()
+    grid.root_index, grid.iterations = np.empty((2, grid.ny, grid.nx), dtype=np.int32)
+    for rows in grid._row_blocks():
+        za = (xs[None, :] + 1j * ys[rows, None]).reshape(-1)    # active points
+        z = np.full(za.size, np.nan, dtype=complex)         # converged endpoints
+        iters = np.full(za.size, max_iters, dtype=np.int32)
+        pos = np.arange(za.size, dtype=np.int32)            # active pixels
+        for it in range(max_iters):
+            if not pos.size:
+                break
+            with np.errstate(all="ignore"):     # overflow is caught as non-finite
+                dz = newton_step(za)
+                live = np.isfinite(dz)
+                za -= dz
+                done = np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))
+            z[pos[done]] = za[done]
+            iters[pos[done]] = it + 1
+            live &= ~done
+            pos, za = pos[live], za[live]
+        converged = np.isfinite(z)
+        iters[~converged] = max_iters
+        grid.iterations[rows].flat = iters
+        grid.root_index[rows].flat = _registry_assign(z, converged, grid.roots, match_radius)
     return grid
 
 
@@ -292,22 +305,23 @@ def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
 def render_ppm(grid: BasinGrid) -> bytes:
     """Binary P6 image: hue = root index, brightness = iteration count
     (linear, fast convergence bright), black = not converged, white = pixels
-    containing a registered root."""
+    containing a registered root.  Colored block by block into one buffer."""
     ny, nx = grid.ny, grid.nx
-    img = np.zeros((ny, nx, 3), dtype=np.uint8)
-    idx = grid.root_index
-    iters = grid.iterations
-    brightness = 1.0 - 0.75 * np.minimum(iters, grid.max_iters) / grid.max_iters
-    for k in range(len(grid.roots)):
-        color = np.array(_PALETTE[k % len(_PALETTE)], dtype=float)
-        mask = idx == k
-        img[mask] = (color[None, :] * brightness[mask][:, None]).astype(np.uint8)
-    for root in grid.roots:
+    header = f"P6\n{nx} {ny}\n255\n".encode()
+    out = bytearray(len(header) + 3 * nx * ny)
+    out[:len(header)] = header
+    img = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(ny, nx, 3)
+    for rows in grid._row_blocks():
+        mask = grid.root_index[rows] >= 0
+        color = _PALETTE[grid.root_index[rows][mask] % len(_PALETTE)]
+        brightness = 1.0 - 0.75 * np.minimum(grid.iterations[rows][mask],
+                                             grid.max_iters) / grid.max_iters
+        img[rows][mask] = (color * brightness[:, None]).astype(np.uint8)
+    for root in grid.roots:             # last: a root's pixel may be in any block
         px = grid.root_pixel(root)
         if px is not None:
             img[px[0], px[1]] = (255, 255, 255)
-    header = f"P6\n{nx} {ny}\n255\n".encode()
-    return header + img.tobytes()
+    return bytes(out)
 
 
 def write_ppm(grid: BasinGrid, path) -> None:

@@ -382,6 +382,179 @@ def test_slice_scan_matches_reference_pixel_for_pixel(monkeypatch):
     assert_same_grid(got, slice_scan(*args))
 
 
+# --- streaming: blocks of rows against the whole grid at once ----------------------------
+
+def reference_render_ppm(grid):
+    """The image as rendered before blocks: one mask per root over the whole grid."""
+    ny, nx = grid.ny, grid.nx
+    img = np.zeros((ny, nx, 3), dtype=np.uint8)
+    brightness = 1.0 - 0.75 * np.minimum(grid.iterations, grid.max_iters) / grid.max_iters
+    for k in range(len(grid.roots)):
+        color = np.array(basins._PALETTE[k % len(basins._PALETTE)], dtype=float)
+        mask = grid.root_index == k
+        img[mask] = (color[None, :] * brightness[mask][:, None]).astype(np.uint8)
+    for root in grid.roots:
+        px = grid.root_pixel(root)
+        if px is not None:
+            img[px[0], px[1]] = (255, 255, 255)
+    return f"P6\n{nx} {ny}\n255\n".encode() + img.tobytes()
+
+
+def rows_per_block(grid):
+    return max(1, basins._BLOCK_PIXELS // grid.nx)
+
+
+def assert_same_streamed_grid(got, want):
+    assert got.ny > rows_per_block(got)                 # more than one block ran
+    assert_same_grid(got, want)
+    assert render_ppm(got) == reference_render_ppm(want)
+
+
+@pytest.mark.parametrize("coeffs, window, resolution, block", [
+    ([-1.0, 0.0, 0.0, 1.0], (-1.5, 1.5, -1.5, 1.5), 61, 61 * 4),       # 16 blocks
+    (np.r_[-1.0, np.zeros(299), 1.0], (-2, 2, -2, 2), 24, 24 * 5),     # z^300 - 1
+    ([-3j, 0.5, 0.0, 0.0, 2.0 - 1.0j], (-2, 2, -1.5, 2.5), (48, 40), 48 * 3 + 7),  # 3 rows
+    ([-1.0, 0.0, 0.0, 1.0], (-2, 2, -2, 2), (50, 7), 16),              # a row per block
+], ids=["cube", "z300", "rows_not_a_multiple", "row_wider_than_block"])
+def test_multi_block_basin_scan_matches_whole_grid(monkeypatch, coeffs, window,
+                                                   resolution, block):
+    monkeypatch.setattr(basins, "_BLOCK_PIXELS", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = basin_scan(coeffs, window, resolution)
+        want = reference_basin_scan(coeffs, window, resolution, 64)
+    assert_same_streamed_grid(got, want)
+
+
+def lattice_step(za):
+    """Newton steps onto the 0.1 lattice, where they stop: many distinct
+    endpoints, each within a 0.12 reach of its four neighbours."""
+    return za - (np.round(za.real, 1) + 1j * np.round(za.imag, 1))
+
+
+def test_multi_block_registry_with_overlapping_seeds(monkeypatch):
+    # the first seed claims pixels on both sides of a block boundary, its reach
+    # overlaps the next two, and new roots are registered in every block
+    monkeypatch.setattr(basins, "_BLOCK_PIXELS", 40 * 4)
+    seeds = [0.0, 0.1 + 0.1j, 0.05, 0.5j]
+    args = ((-1.3, 1.3, -1.1, 1.1), (40, 30), seeds, 64, "")
+    got = _scan(_grid(*args), lattice_step, 1e-12, 0.12)
+    want = reference_scan(_grid(*args), lattice_step, 1e-12, 0.12)
+    claimed_rows = np.nonzero(got.root_index == 0)[0]
+    assert np.unique(claimed_rows // rows_per_block(got)).size > 1
+    assert all((got.root_index == k).any() for k in range(len(seeds)))
+    first_rows = [np.argmax(got.root_index.ravel() == k) // got.nx
+                  for k in range(len(seeds), len(got.roots))]
+    assert set(np.array(first_rows) // rows_per_block(got)) == set(range(8))
+    assert_same_streamed_grid(got, want)
+
+
+def test_root_found_in_a_later_block_lies_in_an_earlier_one(monkeypatch):
+    # the top half converges to B in the bottom rows, the bottom half to A in
+    # the top rows, so A is registered in a later block than the one holding
+    # its pixel, which the top half colours with B's hue before A is known
+    a, b = 0.5 + 0.9j, -0.5 - 0.9j
+
+    def step(za):
+        to_a = (np.abs(za - a) < 1e-9) | ((za.imag < 0) & (np.abs(za - b) >= 1e-9))
+        return np.where(to_a, za - a, za - b)
+
+    monkeypatch.setattr(basins, "_BLOCK_PIXELS", 20 * 5)
+    args = ((-1, 1, -1, 1), 20, None, 64, "")
+    got = _scan(_grid(*args), step, 1e-12, 1e-6)
+    want = reference_scan(_grid(*args), step, 1e-12, 1e-6)
+    assert_same_streamed_grid(got, want)
+    assert np.abs(np.array(got.roots) - [b, a]).max() < 1e-12
+    row, col = got.root_pixel(got.roots[1])
+    assert row < rows_per_block(got) and got.root_index[row, col] == 0
+    data = render_ppm(got)
+    off = len(b"P6\n20 20\n255\n") + 3 * (row * 20 + col)
+    assert data[off:off + 3] == b"\xff\xff\xff"
+
+
+@pytest.mark.parametrize("window, max_iters", [((-3, 3, -2, 2), 64), ((-40, 40, -40, 40), 12),
+                                               ((-1e80, 1e80, -1e80, 1e80), 64)],
+                         ids=["converging", "unconverged", "overflowing"])
+def test_multi_block_slice_scan_matches_whole_grid(monkeypatch, window, max_iters):
+    sys_ = cc_system_for_rank(build_hubbard(3, 1.0, 4.0, 1, 1), 2).polynomials
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal(sys_.n_vars) + 1j * rng.standard_normal(sys_.n_vars)
+    direction = rng.standard_normal(sys_.n_vars) + 0j
+    args = (sys_, base, direction, window, (45, 30))
+    monkeypatch.setattr(basins, "_BLOCK_PIXELS", 45 * 4)
+    got = slice_scan(*args, max_iters=max_iters)
+    monkeypatch.setattr(basins, "_scan", reference_scan)
+    assert_same_streamed_grid(got, slice_scan(*args, max_iters=max_iters))
+
+
+def test_non_finite_step_retires_the_point_at_once():
+    # the same three pixels as above: the NaN pixel is evaluated once, not
+    # until max_iters
+    sizes = []
+
+    def newton_step(za):
+        sizes.append(za.size)
+        return np.where(za.real < -1, np.nan, np.where(za.real > 1, -1.7e308, 0.0))
+
+    with np.errstate(over="ignore"):
+        grid = _scan(_grid((-3, 3, -1, 1), (3, 1), None, 5, ""), newton_step, 1e-12, 1e-6)
+    assert sizes == [3, 1]
+    np.testing.assert_array_equal(grid.root_index, [[-1, 0, -1]])
+    np.testing.assert_array_equal(grid.iterations, [[5, 1, 5]])
+
+
+def test_retiring_overflowed_points_saves_evaluations():
+    coeffs = np.r_[-1.0, np.zeros(299), 1.0]                   # z^300 - 1
+    desc, ddesc = coeffs[::-1], (coeffs[1:] * np.arange(1, 301))[::-1]
+    evaluated = {"new": 0, "reference": 0}
+
+    def counting(key):
+        def newton_step(za):
+            evaluated[key] += za.size
+            return np.polyval(desc, za) / np.polyval(ddesc, za)
+        return newton_step
+
+    with np.errstate(all="ignore"):
+        got = _scan(_grid((-2, 2, -2, 2), 40, None, 64, ""), counting("new"), 1e-12, 1e-6)
+        want = reference_scan(_grid((-2, 2, -2, 2), 40, None, 64, ""), counting("reference"),
+                              1e-12, 1e-6)
+    assert_same_grid(got, want)
+    assert evaluated["new"] < 0.9 * evaluated["reference"]
+
+
+def test_scan_and_render_memory_is_bounded_by_the_grid():
+    # a 512^2 scan runs in 8 blocks.  The grid keeps two int32 arrays (8 bytes
+    # a pixel), the image its buffer and the returned bytes (6 bytes a pixel),
+    # and a Newton iteration keeps under 128 bytes a pixel of one block live.
+    # The whole-grid scan peaked at 82 bytes for every pixel.
+    import tracemalloc
+
+    coeffs, window, n = [-(0.6 + 0.8j), 0.0, 0.0, 0.0, 1.0], (-2, 2, -2, 2), 512
+    render_ppm(basin_scan(coeffs, window, 8))
+    tracemalloc.start()
+    try:
+        render_ppm(basin_scan(coeffs, window, n, max_iters=128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (8 + 6) * n * n + 128 * basins._BLOCK_PIXELS
+
+
+@pytest.mark.parametrize("max_iters", [0, 2**31, 3_000_000_000])
+def test_max_iters_outside_int32_rejected_by_scans(max_iters):
+    sys_ = cc_system_for_rank(build_hubbard(2, 1.0, 4.0, 1, 1), 2).polynomials
+    with pytest.raises(ValueError, match="max_iters"):
+        basin_scan([-1.0, 0.0, 1.0], (-1, 1, -1, 1), 4, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters"):
+        slice_scan(sys_, np.zeros(3), np.ones(3), (-1, 1, -1, 1), 4, max_iters=max_iters)
+
+
+def test_largest_int32_max_iters_scans():
+    grid = basin_scan([-1.0, 0.0, 1.0], (-1, 1, -1, 1), 4, max_iters=2**31 - 1)
+    assert (grid.root_index >= 0).all()
+    assert render_ppm(grid).startswith(b"P6\n4 4\n255\n")
+
+
 # --- multivariate slice --------------------------------------------------------------
 
 def test_dimer_slice_quadratic_closed_form():

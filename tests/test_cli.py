@@ -738,6 +738,15 @@ def test_fractal_max_iters_must_be_positive(tmp_path, max_iters):
     assert not (tmp_path / "a.ppm").exists()
 
 
+def test_fractal_max_iters_beyond_int32_is_a_usage_error(tmp_path):
+    r = run("fractal", "--poly", "z^2-1", "--res", "8", "--max-iters", "3000000000",
+            "-o", tmp_path / "a.ppm")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "max_iters" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "a.ppm").exists()
+
+
 def test_fractal_window_needs_four_values(tmp_path):
     r = run("fractal", "--poly", "z^2-1", "--window", "1,2,3",
             "-o", tmp_path / "a.ppm")

@@ -23,9 +23,10 @@ _DEFAULT_MAX_ITERS = 64
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MATCH_RADIUS = 1e-6
 _MAX_PIXELS = 2048 * 2048        # bounds a grid's int32 arrays and its image
-# Pixels per block of rows: the ~4 complex arrays a Newton iteration keeps live
-# (points, steps, Horner's value and slope) fill 2 MB, one core's L2 cache.
-_BLOCK_PIXELS = 32768
+# A block of pixel rows keeps 2 MB live (one core's L2 cache) over its step's bytes
+# per point: Horner's 4 complex arrays (z, dz, p, p') give 32,768 pixels a block.
+_BLOCK_BYTES = 2 * 1024 * 1024
+_HORNER_POINT_BYTES = 64
 
 # color palette for root indices (cycled); brightness encodes iteration count
 _PALETTE = np.array([
@@ -165,8 +166,8 @@ class BasinGrid:
         xs, ys = self._axes()
         return xs[None, :] + 1j * ys[:, None]
 
-    def _row_blocks(self):                  # slices of about _BLOCK_PIXELS pixels
-        rows = max(1, _BLOCK_PIXELS // max(self.nx, 1))
+    def _row_blocks(self, point_bytes=_HORNER_POINT_BYTES):    # row slices, _BLOCK_BYTES each
+        rows = max(1, _BLOCK_BYTES // (point_bytes * max(self.nx, 1)))
         return (slice(r, r + rows) for r in range(0, self.ny, rows))
 
     def root_pixel(self, z: complex):
@@ -211,37 +212,40 @@ def _registry_assign(z_final, converged, roots, match_radius):
     return idx
 
 
-def _scan(grid: BasinGrid, newton_step, tol: float, match_radius: float) -> BasinGrid:
+def _scan(grid: BasinGrid, newton_step, tol: float, match_radius: float,
+          point_bytes: int = _HORNER_POINT_BYTES) -> BasinGrid:
     """Vectorized Newton from every pixel center, one block of rows at a time;
     fills the grid's int32 arrays in place.
 
     `newton_step(za) -> dz` maps the still-active points to their Newton
-    corrections; a point whose correction is not finite retires at once,
-    unconverged.  Blocks share the registry in row order, as one scan would.
+    corrections with about `point_bytes` a point.  A point stops when |dz| <=
+    tol max(1, |z|), converged if z is finite, or unconverged as soon as dz or
+    z is not finite.  Blocks share the registry in row order, as one scan would.
     """
     max_iters, (xs, ys) = grid.max_iters, grid._axes()
     grid.root_index, grid.iterations = np.empty((2, grid.ny, grid.nx), dtype=np.int32)
-    for rows in grid._row_blocks():
-        za = (xs[None, :] + 1j * ys[rows, None]).reshape(-1)    # active points
-        z = np.full(za.size, np.nan, dtype=complex)         # converged endpoints
-        iters = np.full(za.size, max_iters, dtype=np.int32)
-        pos = np.arange(za.size, dtype=np.int32)            # active pixels
-        for it in range(max_iters):
-            if not pos.size:
-                break
-            with np.errstate(all="ignore"):     # overflow is caught as non-finite
+    with np.errstate(all="ignore"):             # overflow stops a point, silently
+        for rows in grid._row_blocks(point_bytes):
+            za = (xs[None, :] + 1j * ys[rows, None]).reshape(-1)    # active points
+            z = np.full(za.size, np.nan, dtype=complex)         # endpoints
+            iters = np.full(za.size, max_iters, dtype=np.int32)
+            pos = np.arange(za.size, dtype=np.int32)            # active pixels
+            for it in range(max_iters):
+                if not pos.size:
+                    break
                 dz = newton_step(za)
-                live = np.isfinite(dz)
                 za -= dz
-                done = np.abs(dz) <= tol * np.maximum(1.0, np.abs(za))
-            z[pos[done]] = za[done]
-            iters[pos[done]] = it + 1
-            live &= ~done
-            pos, za = pos[live], za[live]
-        converged = np.isfinite(z)
-        iters[~converged] = max_iters
-        grid.iterations[rows].flat = iters
-        grid.root_index[rows].flat = _registry_assign(z, converged, grid.roots, match_radius)
+                # False when dz is NaN, when z is not finite and when dz is small
+                live = np.abs(dz) > tol * np.maximum(1.0, np.abs(za))
+                if not live.all():
+                    at = pos[~live]
+                    z[at], iters[at] = za[~live], it + 1
+                    pos, za = pos[live], za[live]
+            converged = np.isfinite(z)
+            iters[~converged] = max_iters
+            grid.iterations[rows].flat = iters
+            grid.root_index[rows].flat = _registry_assign(z, converged, grid.roots,
+                                                          match_radius)
     return grid
 
 
@@ -258,11 +262,15 @@ def basin_scan(poly, window, resolution, roots=None,
     desc, ddesc = coeffs[::-1], (coeffs[1:] * np.arange(1, len(coeffs)))[::-1]
     grid = _grid(window, resolution, roots, max_iters, label)
 
-    def horner(c, za):                  # np.polyval's y = y * za + c, in place
-        y = np.full_like(za, c[0])
-        for ck in c[1:]:
-            y *= za
-            y += ck
+    def horner(c, za):
+        # np.polyval's y = y * za + c, in place, with no product by a leading 1
+        # and no sum with a zero c: for finite z that changes at most a zero's sign
+        y = za.copy() if c[0] == 1 and len(c) > 1 else np.full_like(za, c[0])
+        for k, ck in enumerate(c[1:]):
+            if k or c[0] != 1:
+                y *= za
+            if ck:
+                y += ck
         return y
 
     def newton_step(za):
@@ -299,24 +307,33 @@ def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
         dg = ((J @ direction) @ direction.conj()) / nrm2
         return g / dg
 
-    return _scan(grid, newton_step, tol, match_radius)
+    # F and J hold n(n + 1) complex values a point, their monomials about as many
+    return _scan(grid, newton_step, tol, match_radius,
+                 point_bytes=32 * system.n_vars * (system.n_vars + 1))
 
 
 def render_ppm(grid: BasinGrid) -> bytes:
     """Binary P6 image: hue = root index, brightness = iteration count
     (linear, fast convergence bright), black = not converged, white = pixels
-    containing a registered root.  Colored block by block into one buffer."""
+    containing a registered root.  Each block of rows is one gather from a
+    table of colors by hue (black first) and by the iteration counts present."""
     ny, nx = grid.ny, grid.nx
     header = f"P6\n{nx} {ny}\n255\n".encode()
     out = bytearray(len(header) + 3 * nx * ny)
     out[:len(header)] = header
     img = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(ny, nx, 3)
+    colors = np.vstack([np.zeros(3), _PALETTE])     # root_index -1 (row 0): black
+    hue = np.insert(np.arange(len(grid.roots), dtype=np.int32) % len(_PALETTE) + 1, 0, 0)
     for rows in grid._row_blocks():
-        mask = grid.root_index[rows] >= 0
-        color = _PALETTE[grid.root_index[rows][mask] % len(_PALETTE)]
-        brightness = 1.0 - 0.75 * np.minimum(grid.iterations[rows][mask],
-                                             grid.max_iters) / grid.max_iters
-        img[rows][mask] = (color * brightness[:, None]).astype(np.uint8)
+        iters = grid.iterations[rows].reshape(-1)
+        lo, hi = int(iters.min()), int(iters.max())
+        # the counts lo..hi, or only those present when they are spread wider
+        counts, col = ((np.arange(lo, hi + 1), iters - lo) if hi - lo < iters.size
+                       else np.unique(iters, return_inverse=True))
+        brightness = 1.0 - 0.75 * np.minimum(counts, grid.max_iters) / grid.max_iters
+        table = (colors[:, None, :] * brightness[:, None]).astype(np.uint8).reshape(-1, 3)
+        key = np.take(hue, grid.root_index[rows].reshape(-1) + 1) * len(counts) + col
+        np.take(table, key, axis=0, out=img[rows].reshape(-1, 3), mode="clip")
     for root in grid.roots:             # last: a root's pixel may be in any block
         px = grid.root_pixel(root)
         if px is not None:

@@ -20,6 +20,7 @@ import datetime
 import functools
 import hashlib
 import json
+import logging
 import os
 import re
 import sys
@@ -479,6 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "complete root enumeration, eigenstate certification, "
                     "truncation homotopies, and Newton-basin images.")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--log-level", default="WARNING", type=str.upper,
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="print library log lines from this level on to stderr")
+    parser.add_argument("-v", dest="log_level", action="store_const", const="DEBUG",
+                        help="same as --log-level DEBUG")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("model", help="build a model and write it as JSON",
@@ -605,6 +611,9 @@ _parser = functools.cache(build_parser)     # one per process: parsing keeps no 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parser().parse_args(argv)
+    if args.log_level != "WARNING":     # else Python's last-resort handler prints
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("ccroots").setLevel(args.log_level)
     try:
         return args.func(args, argv)
     except CliError as exc:

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ccroots import basins
 from ccroots.basins import (
@@ -27,6 +29,9 @@ from ccroots.basins import (
 )
 from ccroots.ccpoly import cc_system_for_rank
 from ccroots.model import build_hubbard
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 CUBE_ROOTS = sorted((np.exp(2j * np.pi * k / 3) for k in range(3)),
                     key=lambda z: (round(z.real, 9), round(z.imag, 9)))
@@ -299,9 +304,10 @@ def test_overflowing_newton_steps_scan_silently(text):
 
 # --- the scan loop against the one it replaced -----------------------------------------
 
-def reference_scan(grid, newton_step, tol, match_radius):
+def reference_scan(grid, newton_step, tol, match_radius, point_bytes=None):
     """The scan as it was before its active points were kept compacted:
-    gathered from and scattered back to the full array every iteration."""
+    gathered from and scattered back to the full array every iteration, the
+    whole grid at once whatever the step's bytes per point."""
     max_iters = grid.max_iters
     z = grid.pixel_centers().reshape(-1)
     iters = np.full(z.size, max_iters, dtype=np.int32)
@@ -329,7 +335,7 @@ def reference_scan(grid, newton_step, tol, match_radius):
     return grid
 
 
-def reference_basin_scan(coeffs, window, resolution, max_iters):
+def reference_basin_scan(coeffs, window, resolution, max_iters, roots=None):
     """Horner from zero, one multiply before the leading coefficient, on the
     reference loop."""
     coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
@@ -342,7 +348,7 @@ def reference_basin_scan(coeffs, window, resolution, max_iters):
             y += ck
         return y
 
-    grid = _grid(window, resolution, None, max_iters, "")
+    grid = _grid(window, resolution, roots, max_iters, "")
     return reference_scan(grid, lambda za: horner(desc, za) / horner(ddesc, za),
                           1e-12, 1e-6)
 
@@ -400,12 +406,21 @@ def reference_render_ppm(grid):
     return f"P6\n{nx} {ny}\n255\n".encode() + img.tobytes()
 
 
-def rows_per_block(grid):
-    return max(1, basins._BLOCK_PIXELS // grid.nx)
+def rows_per_block(grid, point_bytes=basins._HORNER_POINT_BYTES):
+    return max(1, basins._BLOCK_BYTES // (point_bytes * grid.nx))
 
 
-def assert_same_streamed_grid(got, want):
-    assert got.ny > rows_per_block(got)                 # more than one block ran
+def slice_point_bytes(system):
+    n = system.n_vars
+    return 32 * n * (n + 1)
+
+
+def set_block_pixels(monkeypatch, pixels, point_bytes=basins._HORNER_POINT_BYTES):
+    monkeypatch.setattr(basins, "_BLOCK_BYTES", pixels * point_bytes)
+
+
+def assert_same_streamed_grid(got, want, point_bytes=basins._HORNER_POINT_BYTES):
+    assert got.ny > rows_per_block(got, point_bytes)    # more than one block ran
     assert_same_grid(got, want)
     assert render_ppm(got) == reference_render_ppm(want)
 
@@ -418,7 +433,7 @@ def assert_same_streamed_grid(got, want):
 ], ids=["cube", "z300", "rows_not_a_multiple", "row_wider_than_block"])
 def test_multi_block_basin_scan_matches_whole_grid(monkeypatch, coeffs, window,
                                                    resolution, block):
-    monkeypatch.setattr(basins, "_BLOCK_PIXELS", block)
+    set_block_pixels(monkeypatch, block)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = basin_scan(coeffs, window, resolution)
@@ -435,7 +450,7 @@ def lattice_step(za):
 def test_multi_block_registry_with_overlapping_seeds(monkeypatch):
     # the first seed claims pixels on both sides of a block boundary, its reach
     # overlaps the next two, and new roots are registered in every block
-    monkeypatch.setattr(basins, "_BLOCK_PIXELS", 40 * 4)
+    set_block_pixels(monkeypatch, 40 * 4)
     seeds = [0.0, 0.1 + 0.1j, 0.05, 0.5j]
     args = ((-1.3, 1.3, -1.1, 1.1), (40, 30), seeds, 64, "")
     got = _scan(_grid(*args), lattice_step, 1e-12, 0.12)
@@ -459,7 +474,7 @@ def test_root_found_in_a_later_block_lies_in_an_earlier_one(monkeypatch):
         to_a = (np.abs(za - a) < 1e-9) | ((za.imag < 0) & (np.abs(za - b) >= 1e-9))
         return np.where(to_a, za - a, za - b)
 
-    monkeypatch.setattr(basins, "_BLOCK_PIXELS", 20 * 5)
+    set_block_pixels(monkeypatch, 20 * 5)
     args = ((-1, 1, -1, 1), 20, None, 64, "")
     got = _scan(_grid(*args), step, 1e-12, 1e-6)
     want = reference_scan(_grid(*args), step, 1e-12, 1e-6)
@@ -481,10 +496,11 @@ def test_multi_block_slice_scan_matches_whole_grid(monkeypatch, window, max_iter
     base = rng.standard_normal(sys_.n_vars) + 1j * rng.standard_normal(sys_.n_vars)
     direction = rng.standard_normal(sys_.n_vars) + 0j
     args = (sys_, base, direction, window, (45, 30))
-    monkeypatch.setattr(basins, "_BLOCK_PIXELS", 45 * 4)
+    set_block_pixels(monkeypatch, 45 * 4, slice_point_bytes(sys_))
     got = slice_scan(*args, max_iters=max_iters)
     monkeypatch.setattr(basins, "_scan", reference_scan)
-    assert_same_streamed_grid(got, slice_scan(*args, max_iters=max_iters))
+    assert_same_streamed_grid(got, slice_scan(*args, max_iters=max_iters),
+                              slice_point_bytes(sys_))
 
 
 def test_non_finite_step_retires_the_point_at_once():
@@ -537,7 +553,7 @@ def test_scan_and_render_memory_is_bounded_by_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (8 + 6) * n * n + 128 * basins._BLOCK_PIXELS
+    assert peak < (8 + 6) * n * n + 128 * (basins._BLOCK_BYTES // basins._HORNER_POINT_BYTES)
 
 
 @pytest.mark.parametrize("max_iters", [0, 2**31, 3_000_000_000])
@@ -547,6 +563,114 @@ def test_max_iters_outside_int32_rejected_by_scans(max_iters):
         basin_scan([-1.0, 0.0, 1.0], (-1, 1, -1, 1), 4, max_iters=max_iters)
     with pytest.raises(ValueError, match="max_iters"):
         slice_scan(sys_, np.zeros(3), np.ones(3), (-1, 1, -1, 1), 4, max_iters=max_iters)
+
+
+# --- the Horner kernel and the color table against the references ------------------------
+
+@st.composite
+def polynomials(draw):
+    """Degree 1 to 8: interior zeros, a leading 1 or not, and scales whose
+    Newton steps overflow."""
+    value = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
+                               allow_infinity=False)
+    coeffs = draw(st.lists(st.one_of(st.just(0j), st.just(1 + 0j), value),
+                           min_size=1, max_size=8))
+    coeffs.append(draw(st.sampled_from([1 + 0j, 1 + 1j, 1 - 0j]) | value))
+    return np.array(coeffs) * draw(st.sampled_from([1.0, 1.0, 1e-300, 1e300]))
+
+
+@st.composite
+def windows(draw):
+    """Small and huge windows; a centre at 1.25e308 puts |z| past the float
+    range, while (col + 0.5) * width stays finite at 24 pixels a side."""
+    def bounds():
+        centre, half = draw(st.sampled_from([(0.0, 1.5), (0.5, 2.0), (0.0, 1e60),
+                                             (0.0, 1e305), (1.25e308, 1e306),
+                                             (-1.25e308, 1e306)]))
+        return centre - half, centre + half * draw(st.sampled_from([1.0, 0.5]))
+    return bounds() + bounds()
+
+
+@PROPERTY
+@given(polynomials(), windows(), st.integers(1, 24), st.integers(1, 24),
+       st.sampled_from([1, 2, 3, 8, 64]), st.lists(st.complex_numbers(max_magnitude=2),
+                                                   max_size=3))
+def test_horner_kernel_matches_reference(coeffs, window, nx, ny, max_iters, seeds):
+    got = basin_scan(coeffs, window, (nx, ny), roots=seeds, max_iters=max_iters)
+    want = reference_basin_scan(coeffs, window, (nx, ny), max_iters, roots=seeds)
+    assert_same_grid(got, want)
+    assert render_ppm(got) == reference_render_ppm(want)
+
+
+@pytest.mark.parametrize("coeffs, converged", [
+    ([-1.0, 1.0], True),            # z - 1: the first step lands on the root
+    ([-1.0, 0.5], True),            # 0.5 z - 1: the same, not monic
+    ([-1.0, 0.0, 1.0], False),      # z^2 - 1: p overflows, so the step is not finite
+], ids=["linear", "linear_not_monic", "quadratic"])
+def test_steps_whose_magnitude_overflows_match_reference(coeffs, converged):
+    # |z| and the first |dz| overflow, though both are finite: an overflowed
+    # |dz| must not retire a point
+    window = (1.2e308, 1.4e308, -1.4e308, -1.2e308)
+    got = basin_scan(coeffs, window, 4, max_iters=2000)
+    assert (got.root_index >= 0).all() if converged else (got.root_index < 0).all()
+    assert_same_grid(got, reference_basin_scan(coeffs, window, 4, 2000))
+
+
+@PROPERTY
+@given(st.data())
+def test_color_table_matches_reference_render(data):
+    nx, ny = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    n_roots = data.draw(st.integers(0, 9))
+    max_iters = data.draw(st.sampled_from([1, 7, 64, 2**31 - 1]) | st.integers(1, 2**31 - 1))
+    counts = st.sampled_from([1, max_iters]) | st.integers(1, min(max_iters, 70)) | \
+        st.integers(1, max_iters)
+    root_index = data.draw(st.lists(st.integers(-1, n_roots - 1), min_size=nx * ny,
+                                    max_size=nx * ny))
+    iterations = data.draw(st.lists(counts, min_size=nx * ny, max_size=nx * ny))
+    roots = data.draw(st.lists(st.complex_numbers(max_magnitude=3), min_size=n_roots,
+                               max_size=n_roots))
+    grid = BasinGrid((-2, 2, -2, 2), nx, ny,
+                     np.array(root_index, dtype=np.int32).reshape(ny, nx),
+                     np.array(iterations, dtype=np.int32).reshape(ny, nx), roots, max_iters)
+    with pytest.MonkeyPatch.context() as mp:
+        set_block_pixels(mp, data.draw(st.integers(1, nx * ny)))
+        assert render_ppm(grid) == reference_render_ppm(grid)
+
+
+def test_block_pixels_follow_the_steps_bytes_per_point(monkeypatch):
+    # 2 MiB of step arrays a block: 3 rows of 300 pixels at the 8-variable
+    # slice's 2,304 bytes a point, 54 rows of 600 at Horner's 64
+    sys_ = cc_system_for_rank(build_hubbard(3, 1.0, 4.0, 1, 1), 2).polynomials
+    sizes = []
+    evaluate = sys_.evaluate_and_jacobian
+    monkeypatch.setattr(sys_, "evaluate_and_jacobian",
+                        lambda x: sizes.append(len(x)) or evaluate(x))
+    slice_scan(sys_, np.zeros(8), np.ones(8), (-2, 2, -2, 2), (300, 7), max_iters=1)
+    assert sizes == [900, 900, 300]
+    grid = BasinGrid((-2, 2, -2, 2), 600, 600, None, None, [], 64)
+    assert next(grid._row_blocks()) == slice(0, 54)
+
+
+def test_largest_int32_max_iters_renders_in_little_memory():
+    # the color table spans the iteration counts present, not 0..max_iters.
+    # In the second grid, of (z - 1)(z - i), the middle pixel sits on the
+    # critical point and stops at once with 2^31 - 1 iterations, while its
+    # neighbours converge in 7.
+    import tracemalloc
+
+    grids = [basin_scan([-1.0, 0.0, 1.0], (-1, 1, -1, 1), 4, max_iters=2**31 - 1),
+             basin_scan([1j, -(1 + 1j), 1.0], (0.125, 0.875, 0.25, 0.75), (3, 1),
+                        max_iters=2**31 - 1)]
+    np.testing.assert_array_equal(grids[1].root_index, [[0, -1, 1]])
+    for grid in grids:
+        tracemalloc.start()
+        try:
+            data = render_ppm(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data == reference_render_ppm(grid)
+        assert peak < 16384
 
 
 def test_largest_int32_max_iters_scans():

@@ -129,12 +129,12 @@ def test_parser_is_built_once_and_commands_parse_independently(monkeypatch, tmp_
                                "--trace-dir", "t", "--workers", "2", "-o", "s.json"])
     kp = parser.parse_args(["kp", "--model", "m.json", "--rho", "2", "-o", "p"])
     again = parser.parse_args(["solve", "--system", "b.json", "-o", "s2.json"])
-    assert vars(kp) == {"command": "kp", "model": "m.json", "rho": 2, "state": "0",
-                        "homotopy_starts": False, "seed": 0, "workers": None,
-                        "output": "p", "func": cli.cmd_kp}
-    assert vars(again) == {"command": "solve", "system": "b.json", "seed": 0,
-                           "trace_dir": None, "workers": None, "output": "s2.json",
-                           "func": cli.cmd_solve}
+    assert vars(kp) == {"log_level": "WARNING", "command": "kp", "model": "m.json",
+                        "rho": 2, "state": "0", "homotopy_starts": False, "seed": 0,
+                        "workers": None, "output": "p", "func": cli.cmd_kp}
+    assert vars(again) == {"log_level": "WARNING", "command": "solve", "system": "b.json",
+                           "seed": 0, "trace_dir": None, "workers": None,
+                           "output": "s2.json", "func": cli.cmd_solve}
     assert (solve.seed, solve.trace_dir, solve.workers) == (5, "t", 2)
     assert len(builds) == 1
 
@@ -534,6 +534,33 @@ def test_workers_below_one_is_usage_error(work, tmp_path, command):
 
 
 # --- kp -------------------------------------------------------------------------
+
+
+def test_kp_debug_log_lines_only_when_asked(work, kp_out, tmp_path):
+    # kp_out ran at the default level: its stderr was empty.  -v shows one
+    # debug line per accepted step and changes no output byte.
+    quiet = run("kp", "--model", work / "pairing42.json", "--rho", "2",
+                "-o", tmp_path / "quiet")
+    loud = run("-v", "kp", "--model", work / "pairing42.json", "--rho", "2",
+               "-o", tmp_path / "base")
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    lines = loud.stderr.splitlines()
+    assert len(lines) == 13 and all(
+        line.startswith("DEBUG ccroots.kp: lam=") for line in lines)
+    assert "lam=1.000000 displacement from start" in lines[-1]
+    for name in ("base.bundle.json", "base.trajectory.csv"):
+        assert read_bytes(tmp_path / name) == read_bytes(kp_out / name)
+    info = run("--log-level", "info", "kp", "--model", work / "pairing42.json",
+               "--rho", "2", "-o", tmp_path / "info")
+    assert info.returncode == 0 and info.stderr == ""
+
+
+def test_log_level_must_be_a_known_level(work, tmp_path):
+    r = run("--log-level", "loud", "kp", "--model", work / "pairing42.json",
+            "--rho", "2", "-o", tmp_path / "kp")
+    assert r.returncode == 2
+    assert "invalid choice" in r.stderr
 
 
 def test_kp_reaches_full_theory_and_writes_bundle(kp_out):

@@ -12,8 +12,12 @@ diagnostic, not an all-roots method.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -308,8 +312,36 @@ def slice_scan(system: PolynomialSystem, base, direction, window, resolution,
         return g / dg
 
     # F and J hold n(n + 1) complex values a point, their monomials about as many
-    return _scan(grid, newton_step, tol, match_radius,
-                 point_bytes=32 * system.n_vars * (system.n_vars + 1))
+    with _one_blas_thread():
+        return _scan(grid, newton_step, tol, match_radius,
+                     point_bytes=32 * system.n_vars * (system.n_vars + 1))
+
+
+@functools.cache
+def _openblas():                    # numpy's bundled OpenBLAS, or None for another BLAS
+    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"):
+        dll = ctypes.CDLL(str(lib))
+        if hasattr(dll, "scipy_openblas_set_num_threads64_"):
+            return dll
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside the block, its thread count restored after.
+
+    A slice step's products have a few thousand rows at most: waking the pool
+    costs more than it saves, and its threads spin on after each call, so the
+    scan's time would follow the load on the other cores."""
+    dll = _openblas()
+    threads = dll.scipy_openblas_get_num_threads64_() if dll else 1
+    if threads > 1:
+        dll.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        if threads > 1:
+            dll.scipy_openblas_set_num_threads64_(threads)
 
 
 def render_ppm(grid: BasinGrid) -> bytes:

@@ -651,6 +651,36 @@ def test_block_pixels_follow_the_steps_bytes_per_point(monkeypatch):
     assert next(grid._row_blocks()) == slice(0, 54)
 
 
+def test_slice_steps_run_blas_on_one_thread_and_restore_its_count(monkeypatch):
+    # the pool's hand-offs cost more than a step's small products gain, and its
+    # threads spin on between calls, so the scan's time would follow the
+    # machine's load; the count comes back after a scan and after a failure
+    dll = basins._openblas()
+    if dll is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+    sys_ = cc_system_for_rank(build_hubbard(2, 1.0, 4.0, 1, 1), 2).polynomials
+    seen, evaluate = [], sys_.evaluate_and_jacobian
+
+    def spy(x):
+        seen.append(dll.scipy_openblas_get_num_threads64_())
+        if len(seen) == 3:
+            raise RuntimeError("third step")
+        return evaluate(x)
+
+    monkeypatch.setattr(sys_, "evaluate_and_jacobian", spy)
+    before = dll.scipy_openblas_get_num_threads64_()
+    dll.scipy_openblas_set_num_threads64_(2)
+    try:
+        slice_scan(sys_, np.zeros(3), np.ones(3), (-2, 2, -2, 2), 4, max_iters=2)
+        assert dll.scipy_openblas_get_num_threads64_() == 2
+        with pytest.raises(RuntimeError, match="third step"):
+            slice_scan(sys_, np.zeros(3), np.ones(3), (-2, 2, -2, 2), 4, max_iters=2)
+        assert dll.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        dll.scipy_openblas_set_num_threads64_(before)
+    assert seen == [1, 1, 1]
+
+
 def test_largest_int32_max_iters_renders_in_little_memory():
     # the color table spans the iteration counts present, not 0..max_iters.
     # In the second grid, of (z - 1)(z - i), the middle pixel sits on the
